@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -28,15 +29,20 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _seed_from(args: argparse.Namespace) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("REVCUBE_SEED")
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("REVCUBE_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "REVCUBE_SEED"
         except ValueError:
             print(f"error: REVCUBE_SEED must be an integer, got {env!r}", file=sys.stderr)
             raise SystemExit(EXIT_BAD_INPUT) from None
-    return 0
+    if seed < 0:
+        print(f"error: {source} must be non-negative, got {seed}", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_INPUT)
+    return seed
 
 
 def _read_state(path: str) -> cube.CubeState:
@@ -45,6 +51,13 @@ def _read_state(path: str) -> cube.CubeState:
             text = fh.read()
     except OSError as e:
         print(f"error: cannot read {path}: {e.strerror}", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_INPUT) from None
+    except UnicodeDecodeError as e:
+        print(
+            f"error: {path}: non-ASCII byte 0x{e.object[e.start]:02x}"
+            f" at offset {e.start}",
+            file=sys.stderr,
+        )
         raise SystemExit(EXIT_BAD_INPUT) from None
     try:
         return cube.parse_state(text)
@@ -194,21 +207,21 @@ def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
         got == expect_classes,
         f"got {got}",
     )
-    got = model.class_count_flip_free()
+    got = model.class_count(flip_free=True)
     yield f"mini flip-free class count = {expect_free}", got == expect_free, f"got {got}"
-    total, bad = model.sweep_closed_form()
+    table = model.solvable_set()
+    total, bad = model.sweep_closed_form(table)
     yield (
         f"closed-form solvability matches brute force on {total} elements",
         bad == 0,
         f"{bad} mismatches",
     )
-    from fractions import Fraction
-
     want = Fraction(1, 3 * 2**model.pairs)
-    got_p = model.solvable_probability()
+    got_p = model.solvable_probability(table)
     yield f"mini solvable probability = {want}", got_p == want, f"got {got_p}"
-    got_p = model.solvable_probability_flip_free()
+    got_p = model.solvable_probability(table, flip_free=True)
     yield f"mini flip-free probability = 1/3", got_p == Fraction(1, 3), f"got {got_p}"
+    del table  # not held through the strong generating set build
 
     if level == "full":
         sgs = sims.build_bsgs([sims.embed(g) for g in cube.all_generators()])
@@ -265,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prob", help="probability that a random assembly is solvable")
     add_mode(p)
-    p.add_argument("--exact", action="store_true", help="exact fraction (default)")
     p.add_argument("--mc", type=int, metavar="N", help="Monte Carlo with N samples")
     p.add_argument("--seed", type=int, help="random seed (default: REVCUBE_SEED or 0)")
     p.add_argument("--workers", type=int, default=1, help="stream scheduling only")

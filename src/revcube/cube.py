@@ -181,19 +181,22 @@ def is_relabeling(t: CubeState) -> bool:
     return True
 
 
-def solvable_by_invariants(edges: WreathElem, corners: WreathElem) -> bool:
+def solvable_by_invariants(
+    edge_bits: Sequence[int], corner_twists: Sequence[int]
+) -> bool:
     """Closed form of solvability, any number of pairs and corners: both
     members of each edge pair carry the same flip bit and the corner twists
     sum to 0 mod 3.  Checked against exhaustive search in the oracle module."""
-    bits = edges.twists
-    if any(bits[2 * k] != bits[2 * k + 1] for k in range(len(bits) // 2)):
+    if any(
+        edge_bits[2 * k] != edge_bits[2 * k + 1] for k in range(len(edge_bits) // 2)
+    ):
         return False
-    return corners.twist_sum() == 0
+    return sum(corner_twists) % 3 == 0
 
 
 def is_solvable(t: CubeState) -> bool:
     """A relabeling followed by a licit element reaches t."""
-    return solvable_by_invariants(t.edges, t.corners)
+    return solvable_by_invariants(t.edges.twists, t.corners.twists)
 
 
 def is_solvable_mechanical(t: CubeState) -> bool:
@@ -412,10 +415,9 @@ def parse_state(text: str) -> CubeState:
             )
         values = []
         for pos, tok in enumerate(tokens, start=1):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise StateFileError(lineno, pos, f"not an integer: {tok!r}") from None
+            if not (tok.isascii() and tok.isdigit()):  # [0-9]+, unlike int()
+                raise StateFileError(lineno, pos, f"not an integer: {tok!r}")
+            v = int(tok)
             if modulus is not None and not 0 <= v < modulus:
                 raise StateFileError(
                     lineno, pos, f"value {v} out of range 0..{modulus - 1}"

@@ -17,12 +17,12 @@ the main path is the closed-form predicate it is checking.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from . import cube
-from .wreath import WreathElem
 
 ENUMERATION_CAP = 10**7
 
@@ -30,12 +30,6 @@ ENUMERATION_CAP = 10**7
 MiniElem = tuple[
     tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]
 ]
-
-
-def _factorial(n: int) -> int:
-    import math
-
-    return math.factorial(n)
 
 
 def _perm_sign(p: Sequence[int]) -> int:
@@ -96,10 +90,10 @@ class MiniModel:
     def size(self) -> int:
         return (
             2**self.edge_n
-            * _factorial(self.edge_n)
+            * math.factorial(self.edge_n)
             * 3**self.corners
-            * _factorial(self.corners)
-            * _factorial(self.center_n)
+            * math.factorial(self.corners)
+            * math.factorial(self.center_n)
         )
 
     def identity(self) -> MiniElem:
@@ -255,19 +249,13 @@ class MiniModel:
                 out.add(mini_mul(i, l))
         return out
 
-    def is_solvable_brute(self, t: MiniElem, table: set[MiniElem] | None = None) -> bool:
-        return t in (self.solvable_set() if table is None else table)
-
     def solvable_closed_form(self, t: MiniElem) -> bool:
         """The main-path predicate evaluated on mini coordinates."""
-        return cube.solvable_by_invariants(
-            WreathElem(2, t[0], t[1]), WreathElem(3, t[2], t[3])
-        )
+        return cube.solvable_by_invariants(t[0], t[2])
 
-    def sweep_closed_form(self) -> tuple[int, int]:
-        """(elements checked, disagreements) between exhaustive search and
-        the closed form, over the whole model."""
-        table = self.solvable_set()
+    def sweep_closed_form(self, table: set[MiniElem]) -> tuple[int, int]:
+        """(elements checked, disagreements) between the exhaustive solvable
+        set `table` and the closed form, over the whole model."""
         total = mismatches = 0
         for t in self.elements():
             total += 1
@@ -275,67 +263,33 @@ class MiniModel:
                 mismatches += 1
         return total, mismatches
 
-    def class_count(self) -> int:
-        """Number of relabeling-t-licit double classes, by BFS over the full
-        enumeration with left relabeling and right licit generators."""
+    def class_count(self, flip_free: bool = False) -> int:
+        """Number of relabeling-t-licit double classes, by flood fill over
+        the full enumeration with left relabeling and right licit
+        generators.  With flip_free, only classes inside the flip-free
+        subgroup, relabelings restricted to it (edge part trivial there)."""
         igens = self.relabeling_generators()
+        if flip_free:
+            igens = [g for g in igens if self.is_flip_free(g)]
         lgens = self.licit_generators()
         seen: set[MiniElem] = set()
         count = 0
         for t in self.elements():
-            if t in seen:
+            if t in seen or (flip_free and not self.is_flip_free(t)):
                 continue
             count += 1
-            stack = [t]
-            seen.add(t)
-            while stack:
-                x = stack.pop()
-                for g in igens:
-                    y = mini_mul(g, x)
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-                for g in lgens:
-                    y = mini_mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
+            _flood(t, igens, lgens, seen)
         return count
 
-    def class_count_flip_free(self) -> int:
-        """Double classes inside the flip-free subgroup, relabelings
-        restricted to it (edge part trivial there)."""
-        igens = [g for g in self.relabeling_generators() if self.is_flip_free(g)]
-        lgens = self.licit_generators()
-        seen: set[MiniElem] = set()
-        count = 0
-        for t in self.elements():
-            if not self.is_flip_free(t) or t in seen:
-                continue
-            count += 1
-            stack = [t]
-            seen.add(t)
-            while stack:
-                x = stack.pop()
-                for g in igens:
-                    y = mini_mul(g, x)
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-                for g in lgens:
-                    y = mini_mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        return count
-
-    def solvable_probability(self) -> Fraction:
-        return Fraction(len(self.solvable_set()), self.size())
-
-    def solvable_probability_flip_free(self) -> Fraction:
-        flip_free_size = self.size() >> self.edge_n
-        hits = sum(1 for t in self.solvable_set() if self.is_flip_free(t))
-        return Fraction(hits, flip_free_size)
+    def solvable_probability(
+        self, table: set[MiniElem], flip_free: bool = False
+    ) -> Fraction:
+        """Share of solvable elements, given the solvable set `table`; with
+        flip_free, the share inside the flip-free subgroup."""
+        if not flip_free:
+            return Fraction(len(table), self.size())
+        hits = sum(1 for t in table if self.is_flip_free(t))
+        return Fraction(hits, self.size() >> self.edge_n)
 
     def check_subgroup_constructions(self) -> None:
         """The three routes to each subgroup must agree: direct construction
@@ -355,20 +309,33 @@ class MiniModel:
             raise AssertionError("licit generators do not close correctly")
 
 
-def _closure(gens: Iterable[MiniElem], e: MiniElem) -> set[MiniElem]:
-    seen = {e}
-    frontier = [e]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mini_mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+def _flood(
+    start: MiniElem,
+    left_gens: Sequence[MiniElem],
+    right_gens: Sequence[MiniElem],
+    seen: set[MiniElem],
+) -> set[MiniElem]:
+    """Add to `seen` everything reachable from `start` by multiplying with
+    left_gens on the left and right_gens on the right; returns `seen`."""
+    seen.add(start)
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for g in left_gens:
+            y = mini_mul(g, x)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+        for g in right_gens:
+            y = mini_mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
     return seen
+
+
+def _closure(gens: Sequence[MiniElem], e: MiniElem) -> set[MiniElem]:
+    return _flood(e, (), gens, set())
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,9 @@ def test_criterion_06_sifting_matches_predicate():
 def test_criterion_07_small_model_oracle():
     model = oracle.MiniModel(2, 2, 1)
     classes = model.class_count()
-    total, mismatches = model.sweep_closed_form()
-    prob = model.solvable_probability()
+    table = model.solvable_set()
+    total, mismatches = model.sweep_closed_form(table)
+    prob = model.solvable_probability(table)
     report(
         7,
         "reduced model: 27 classes, exhaustive sweep clean, probability 1/12",

@@ -24,7 +24,7 @@ def test_prob_exact():
     r = run_cli("prob")
     assert r.returncode == 0
     assert r.stdout.strip() == "1/12288"
-    r = run_cli("prob", "--mode", "mechanical", "--exact")
+    r = run_cli("prob", "--mode", "mechanical")
     assert r.returncode == 0
     assert r.stdout.strip() == "1/3"
 
@@ -80,6 +80,19 @@ def test_random_assembly_seed_env():
     d = run_cli("random-assembly", env=env)
     assert d.returncode == 2
     assert "REVCUBE_SEED" in d.stderr
+
+
+def test_negative_seed_rejected():
+    import os
+
+    r = run_cli("prob", "--mc", "10", "--seed", "-1")
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == ["error: --seed must be non-negative, got -1"]
+    env = os.environ.copy()
+    env["REVCUBE_SEED"] = "-5"
+    r = run_cli("random-assembly", env=env)
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == ["error: REVCUBE_SEED must be non-negative, got -5"]
 
 
 def test_random_assembly_mechanical_flip_free():
@@ -146,6 +159,16 @@ def test_malformed_file_and_missing_file(tmp_path):
     assert "line 1" in r.stderr
     r = run_cli("invariant", str(tmp_path / "missing.txt"))
     assert r.returncode == 2
+
+
+def test_non_ascii_state_file(tmp_path):
+    text = cube.format_state(cube.identity_state())
+    text = text.replace("edges_flip", "edges_fl\u00efp")
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(text.encode("latin-1"))
+    r = run_cli("solvable", str(bad))
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [f"error: {bad}: non-ASCII byte 0xef at offset 8"]
 
 
 def test_invariant_canonical_round_trip(tmp_path):

@@ -316,6 +316,21 @@ def test_parse_state_reports_positions():
         cube.parse_state("\n".join(lines) + "\n")
     assert e.value.line == 5 and e.value.token == 7
 
+    # int() would take each of these; a token must be plain ASCII digits
+    for lineno, pos, tok in (
+        (2, 5, "+4"),
+        (2, 6, "0_5"),
+        (1, 2, "-0"),
+        (1, 3, "\u0661"),
+    ):
+        lines = text.splitlines()
+        parts = lines[lineno - 1].split()
+        parts[pos] = tok
+        lines[lineno - 1] = " ".join(parts)
+        with pytest.raises(cube.StateFileError) as e:
+            cube.parse_state("\n".join(lines) + "\n")
+        assert e.value.line == lineno and e.value.token == pos
+
 
 def test_parse_state_wrong_shape():
     with pytest.raises(cube.StateFileError):

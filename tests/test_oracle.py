@@ -93,24 +93,27 @@ def test_mini_class_counts():
 
 
 def test_mini_class_counts_flip_free():
-    assert oracle.MiniModel(1, 1, 1).class_count_flip_free() == 3
-    assert oracle.MiniModel(2, 2, 1).class_count_flip_free() == 3
+    assert oracle.MiniModel(1, 1, 1).class_count(flip_free=True) == 3
+    assert oracle.MiniModel(2, 2, 1).class_count(flip_free=True) == 3
 
 
 def test_mini_closed_form_sweep():
-    total, mismatches = oracle.MiniModel(1, 1, 1).sweep_closed_form()
+    m = oracle.MiniModel(1, 1, 1)
+    total, mismatches = m.sweep_closed_form(m.solvable_set())
     assert total == 576
     assert mismatches == 0
-    total, mismatches = oracle.MiniModel(2, 2, 1).sweep_closed_form()
+    m = oracle.MiniModel(2, 2, 1)
+    total, mismatches = m.sweep_closed_form(m.solvable_set())
     assert total == 165888
     assert mismatches == 0
 
 
 def test_mini_probabilities():
-    assert oracle.MiniModel(1, 1, 1).solvable_probability() == Fraction(1, 6)
-    assert oracle.MiniModel(2, 2, 1).solvable_probability() == Fraction(1, 12)
-    assert oracle.MiniModel(1, 1, 1).solvable_probability_flip_free() == Fraction(1, 3)
-    assert oracle.MiniModel(2, 2, 1).solvable_probability_flip_free() == Fraction(1, 3)
+    for shape, p in (((1, 1, 1), Fraction(1, 6)), ((2, 2, 1), Fraction(1, 12))):
+        m = oracle.MiniModel(*shape)
+        table = m.solvable_set()
+        assert m.solvable_probability(table) == p
+        assert m.solvable_probability(table, flip_free=True) == Fraction(1, 3)
 
 
 def test_mini_brute_force_agrees_with_products(make_rng):
@@ -121,7 +124,6 @@ def test_mini_brute_force_agrees_with_products(make_rng):
     elems = list(m.elements())
     for _ in range(200):
         t = elems[int(rng.integers(0, len(elems)))]
-        assert m.is_solvable_brute(t, table) == (t in table)
         assert m.solvable_closed_form(t) == (t in table)
 
 
