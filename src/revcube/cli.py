@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or solvable), 1 unsolvable, 2 invalid input,
 3 internal verification failure.  Seeds come from --seed, falling back to
-the REVCUBE_SEED environment variable, then 0.
+the REVCUBE_SEED environment variable, then 0; either is plain decimal
+digits.
 """
 
 from __future__ import annotations
@@ -29,20 +30,18 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _seed_from(args: argparse.Namespace) -> int:
     if args.seed is not None:
-        seed, source = args.seed, "--seed"
+        text, source = args.seed, "--seed"
     else:
-        env = os.environ.get("REVCUBE_SEED")
-        if env is None:
+        text, source = os.environ.get("REVCUBE_SEED"), "REVCUBE_SEED"
+        if text is None:
             return 0
+    if text.isascii() and text.isdigit():
         try:
-            seed, source = int(env), "REVCUBE_SEED"
-        except ValueError:
-            print(f"error: REVCUBE_SEED must be an integer, got {env!r}", file=sys.stderr)
-            raise SystemExit(EXIT_BAD_INPUT) from None
-    if seed < 0:
-        print(f"error: {source} must be non-negative, got {seed}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
-    return seed
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    print(f"error: {source} must be a non-negative integer, got {text!r}", file=sys.stderr)
+    raise SystemExit(EXIT_BAD_INPUT)
 
 
 def _read_state(path: str) -> cube.CubeState:
@@ -84,6 +83,8 @@ def _cmd_prob(args: argparse.Namespace) -> int:
         )
         print(f"estimate: {est.numerator}/{est.denominator}")
         print(f"stderr: {err:.6e}")
+        lo, hi = counting.wilson_interval(int(est * args.mc), args.mc)
+        print(f"ci95: {lo:.6e} {hi:.6e}")
     else:
         p = counting.exact_probability(args.mode)
         print(f"{p.numerator}/{p.denominator}")
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prob", help="probability that a random assembly is solvable")
     add_mode(p)
     p.add_argument("--mc", type=int, metavar="N", help="Monte Carlo with N samples")
-    p.add_argument("--seed", type=int, help="random seed (default: REVCUBE_SEED or 0)")
+    p.add_argument("--seed", help="random seed (default: REVCUBE_SEED or 0)")
     p.add_argument("--workers", type=int, default=1, help="stream scheduling only")
     p.set_defaults(func=_cmd_prob)
 
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random-assembly", help="sample a uniform assembly")
     add_mode(p)
-    p.add_argument("--seed", type=int, help="random seed (default: REVCUBE_SEED or 0)")
+    p.add_argument("--seed", help="random seed (default: REVCUBE_SEED or 0)")
     p.set_defaults(func=_cmd_random_assembly)
 
     p = sub.add_parser("verify", help="run the self-check suite")

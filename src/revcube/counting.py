@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -108,10 +109,12 @@ def exact_probability(mode: str = "marked") -> Fraction:
 #
 # Samples are split into fixed-size streams; stream i is seeded from
 # (seed, spawn_key=(i,)) independently of how streams are scheduled, so the
-# estimate depends on (mode, n, seed) only, never on the worker count.  Each
-# stream draws the same uniform law as the scalar samplers in cube.py:
-# flip bits, edge placement, corner twists, corner placement, center
-# placement, all via PCG64 (numpy Generator; shuffles are Fisher-Yates).
+# estimate depends on (mode, n, seed) only, never on the worker count.
+# Solvability reads only the edge flip bits and the corner twists
+# (cube.solvable_by_invariants), and under the uniform law the piece
+# placements are independent of both, so a stream draws just the flips
+# (marked mode) and the twists: the hit indicator has the same law as for a
+# full assembly drawn by the scalar samplers in cube.py.
 
 
 def _stream_hits(mode: str, seed: int, index: int, count: int) -> int:
@@ -120,25 +123,7 @@ def _stream_hits(mode: str, seed: int, index: int, count: int) -> int:
     )
     if mode == "marked":
         bits = rng.integers(0, 2, size=(count, cube.NUM_EDGES), dtype=np.int8)
-    rng.permuted(
-        np.broadcast_to(
-            np.arange(cube.NUM_EDGES, dtype=np.int8), (count, cube.NUM_EDGES)
-        ).copy(),
-        axis=1,
-    )
     twists = rng.integers(0, 3, size=(count, cube.NUM_CORNERS), dtype=np.int8)
-    rng.permuted(
-        np.broadcast_to(
-            np.arange(cube.NUM_CORNERS, dtype=np.int8), (count, cube.NUM_CORNERS)
-        ).copy(),
-        axis=1,
-    )
-    rng.permuted(
-        np.broadcast_to(
-            np.arange(cube.NUM_CENTERS, dtype=np.int8), (count, cube.NUM_CENTERS)
-        ).copy(),
-        axis=1,
-    )
     ok = twists.sum(axis=1, dtype=np.int64) % 3 == 0
     if mode == "marked":
         ok &= (bits[:, 0::2] == bits[:, 1::2]).all(axis=1)
@@ -158,21 +143,23 @@ def estimate_probability(
         raise ValueError("need at least one sample")
     if workers < 1:
         raise ValueError("need at least one worker")
-    sizes = [
-        min(STREAM_SIZE, n - start) for start in range(0, n, STREAM_SIZE)
-    ]
-    if workers == 1:
+    sizes = [min(STREAM_SIZE, n - start) for start in range(0, n, STREAM_SIZE)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         hits = sum(
-            _stream_hits(mode, seed, i, cnt) for i, cnt in enumerate(sizes)
+            pool.map(_stream_hits, repeat(mode), repeat(seed), range(len(sizes)), sizes)
         )
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(
-                pool.map(
-                    lambda ic: _stream_hits(mode, seed, ic[0], ic[1]),
-                    enumerate(sizes),
-                )
-            )
     p = Fraction(hits, n)
     stderr = math.sqrt(float(p) * (1.0 - float(p)) / n)
     return p, stderr
+
+
+WILSON_Z = 1.96
+
+
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval (Wilson 1927) for `hits` successes in `n`
+    trials.  Unlike the standard error it stays honest at 0 or n hits."""
+    z2 = WILSON_Z * WILSON_Z
+    centre = hits + z2 / 2
+    half = WILSON_Z * math.sqrt(hits * (n - hits) / n + z2 / 4)
+    return max(0.0, (centre - half) / (n + z2)), min(1.0, (centre + half) / (n + z2))

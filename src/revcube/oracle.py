@@ -105,10 +105,15 @@ class MiniModel:
             tuple(range(self.center_n)),
         )
 
-    def elements(self) -> Iterator[MiniElem]:
-        """Every element of the full mini group, lazily."""
+    def elements(self, flip_free: bool = False) -> Iterator[MiniElem]:
+        """Every element of the full mini group, lazily; with flip_free,
+        only those with no edge flips."""
+        if flip_free:
+            flips = [(0,) * self.edge_n]
+        else:
+            flips = list(itertools.product((0, 1), repeat=self.edge_n))
         for ep in itertools.permutations(range(self.edge_n)):
-            for eb in itertools.product((0, 1), repeat=self.edge_n):
+            for eb in flips:
                 for cp in itertools.permutations(range(self.corners)):
                     for ct in itertools.product((0, 1, 2), repeat=self.corners):
                         for zp in itertools.permutations(range(self.center_n)):
@@ -274,8 +279,8 @@ class MiniModel:
         lgens = self.licit_generators()
         seen: set[MiniElem] = set()
         count = 0
-        for t in self.elements():
-            if t in seen or (flip_free and not self.is_flip_free(t)):
+        for t in self.elements(flip_free):
+            if t in seen:
                 continue
             count += 1
             _flood(t, igens, lgens, seen)

@@ -33,8 +33,13 @@ def test_prob_mc_pinned():
     r = run_cli("prob", "--mc", "100000", "--seed", "5", "--workers", "2")
     assert r.returncode == 0
     lines = r.stdout.splitlines()
-    assert lines[0] == "estimate: 1/25000"
-    assert lines[1] == "stderr: 1.999960e-05"
+    # pins from the scalar rebuild (tests/test_counting.py); ci95 is the
+    # textbook Wilson form at p = 6e-5, n = 1e5, z = 1.96
+    assert lines == [
+        "estimate: 3/50000",
+        "stderr: 2.449416e-05",
+        "ci95: 2.749844e-05 1.309115e-04",
+    ]
 
 
 def test_prob_mc_worker_invariance():
@@ -82,17 +87,37 @@ def test_random_assembly_seed_env():
     assert "REVCUBE_SEED" in d.stderr
 
 
-def test_negative_seed_rejected():
+def test_negative_seed_rejected(monkeypatch, capsys):
     import os
+
+    from revcube import cli
 
     r = run_cli("prob", "--mc", "10", "--seed", "-1")
     assert r.returncode == 2
-    assert r.stderr.splitlines() == ["error: --seed must be non-negative, got -1"]
+    assert r.stderr.splitlines() == [
+        "error: --seed must be a non-negative integer, got '-1'"
+    ]
     env = os.environ.copy()
     env["REVCUBE_SEED"] = "-5"
     r = run_cli("random-assembly", env=env)
     assert r.returncode == 2
-    assert r.stderr.splitlines() == ["error: REVCUBE_SEED must be non-negative, got -5"]
+    assert r.stderr.splitlines() == [
+        "error: REVCUBE_SEED must be a non-negative integer, got '-5'"
+    ]
+    # only plain ASCII digits: no sign, underscore, space or other digits;
+    # a seed past int()'s 4300-digit limit is bad input too
+    for bad in ("+1_0", "1_0", " 7", "abc", "\u0661", "9" * 5000):
+        for source, argv in (
+            ("--seed", ["random-assembly", "--seed", bad]),
+            ("REVCUBE_SEED", ["random-assembly"]),
+        ):
+            monkeypatch.setenv("REVCUBE_SEED", bad)
+            with pytest.raises(SystemExit) as e:
+                cli.main(argv)
+            assert e.value.code == 2, (source, bad)
+            err = capsys.readouterr()
+            assert err.out == ""
+            assert err.err == f"error: {source} must be a non-negative integer, got {bad!r}\n"
 
 
 def test_random_assembly_mechanical_flip_free():

@@ -85,12 +85,14 @@ def test_estimate_worker_invariant():
 
 
 def test_estimate_pinned():
+    # pins from the scalar rebuild of every stream (see
+    # test_stream_hits_match_scalar_predicate), not from _stream_hits
     est, err = counting.estimate_probability("mechanical", 200_000, seed=7)
-    assert est == Fraction(66743, 200_000)
-    assert f"{err:.6e}" == "1.054394e-03"
+    assert est == Fraction(3359, 10_000)
+    assert f"{err:.6e}" == "1.056104e-03"
     est, err = counting.estimate_probability("marked", 100_000, seed=5, workers=2)
-    assert est == Fraction(1, 25_000)
-    assert f"{err:.6e}" == "1.999960e-05"
+    assert est == Fraction(3, 50_000)
+    assert f"{err:.6e}" == "2.449416e-05"
 
 
 def test_estimate_close_to_exact():
@@ -134,47 +136,54 @@ def test_flip_rate_matches_pair_condition(make_rng):
 
 
 def test_stream_hits_match_scalar_predicate():
-    # rebuild one stream's exact draws and judge each row with CubeState,
-    # so the vectorized predicate cannot drift from the scalar one
+    # rebuild one stream's flip bits and twists from its seed, give each row
+    # piece placements from an independent generator, and judge it with
+    # CubeState: the vectorized predicate cannot drift from the scalar one,
+    # and the match under arbitrary placements shows neither reads them
     import numpy as np
 
     from revcube.counting import _stream_hits
     from revcube.wreath import WreathElem
 
     count, seed = 4096, 31
+    place = np.random.Generator(np.random.PCG64(np.random.SeedSequence(99)))
 
-    def fresh():
-        return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-        )
-
-    def perm_rows(rng, n):
-        tile = np.broadcast_to(np.arange(n, dtype=np.int8), (count, n)).copy()
-        return rng.permuted(tile, axis=1)
+    def perm_row(n):
+        return tuple(map(int, place.permutation(n)))
 
     for mode in counting.MODES:
-        rng = fresh()
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+        )
         if mode == "marked":
             bits = rng.integers(0, 2, size=(count, 24), dtype=np.int8)
+            solvable = cube.is_solvable
         else:
             bits = np.zeros((count, 24), dtype=np.int8)
-        eperm = perm_rows(rng, 24)
+            solvable = cube.is_solvable_mechanical
         twists = rng.integers(0, 3, size=(count, 8), dtype=np.int8)
-        cperm = perm_rows(rng, 8)
-        zperm = perm_rows(rng, 24)
 
         hits = 0
         for r in range(count):
             t = cube.CubeState(
-                WreathElem(2, tuple(map(int, bits[r])), tuple(map(int, eperm[r]))),
-                WreathElem(3, tuple(map(int, twists[r])), tuple(map(int, cperm[r]))),
-                tuple(map(int, zperm[r])),
+                WreathElem(2, tuple(map(int, bits[r])), perm_row(24)),
+                WreathElem(3, tuple(map(int, twists[r])), perm_row(8)),
+                perm_row(24),
             )
-            if mode == "marked":
-                hits += cube.is_solvable(t)
-            else:
-                hits += cube.is_solvable_mechanical(t)
+            hits += solvable(t)
         assert hits == _stream_hits(mode, seed, 0, count)
+
+
+def test_wilson_interval():
+    z2 = counting.WILSON_Z**2
+    n = 1000
+    assert counting.wilson_interval(0, n) == pytest.approx((0.0, z2 / (n + z2)))
+    assert counting.wilson_interval(n, n) == pytest.approx((n / (n + z2), 1.0))
+    # 20 hits in 100: centre (20 + 1.9208) / 103.8416 = 0.211098, half width
+    # 1.96 * sqrt(16 + 0.9604) / 103.8416 = 0.077733
+    lo, hi = counting.wilson_interval(20, 100)
+    assert lo == pytest.approx(0.133366, abs=1e-6)
+    assert hi == pytest.approx(0.288831, abs=1e-6)
 
 
 def test_sampled_states_obey_exact_probability(make_rng):
