@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -22,6 +22,29 @@ EXIT_OK = 0
 EXIT_UNSOLVABLE = 1
 EXIT_BAD_INPUT = 2
 EXIT_VERIFY_FAILED = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit 2, no usage text."""
+
+    def error(self, message: str) -> NoReturn:
+        print(f"error: {self.prog}: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_INPUT)
+
+
+def _natural(text: str) -> int | None:
+    """`text` as an int if it is plain ASCII decimal digits, else None."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _positive(text: str) -> int:
+    n = _natural(text)
+    if not n:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -35,11 +58,9 @@ def _seed_from(args: argparse.Namespace) -> int:
         text, source = os.environ.get("REVCUBE_SEED"), "REVCUBE_SEED"
         if text is None:
             return 0
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
+    seed = _natural(text)
+    if seed is not None:
+        return seed
     print(f"error: {source} must be a non-negative integer, got {text!r}", file=sys.stderr)
     raise SystemExit(EXIT_BAD_INPUT)
 
@@ -75,9 +96,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_prob(args: argparse.Namespace) -> int:
     if args.mc is not None:
-        if args.mc <= 0 or args.workers < 1:
-            print("error: --mc and --workers must be positive", file=sys.stderr)
-            return EXIT_BAD_INPUT
         est, err = counting.estimate_probability(
             args.mode, args.mc, _seed_from(args), args.workers
         )
@@ -258,7 +276,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="revcube",
         description="Solvability, counting and probabilities for 4x4x4 cube assemblies.",
     )
@@ -279,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prob", help="probability that a random assembly is solvable")
     add_mode(p)
-    p.add_argument("--mc", type=int, metavar="N", help="Monte Carlo with N samples")
+    p.add_argument("--mc", type=_positive, metavar="N", help="Monte Carlo with N samples")
     p.add_argument("--seed", help="random seed (default: REVCUBE_SEED or 0)")
-    p.add_argument("--workers", type=int, default=1, help="stream scheduling only")
+    p.add_argument("--workers", type=_positive, default=1, help="stream scheduling only")
     p.set_defaults(func=_cmd_prob)
 
     p = sub.add_parser("solvable", help="decide solvability of a state file")

@@ -18,6 +18,7 @@ and the shortcut happens to hold.  Both facts are covered by tests.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import repeat
@@ -144,7 +145,7 @@ def estimate_probability(
     if workers < 1:
         raise ValueError("need at least one worker")
     sizes = [min(STREAM_SIZE, n - start) for start in range(0, n, STREAM_SIZE)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         hits = sum(
             pool.map(_stream_hits, repeat(mode), repeat(seed), range(len(sizes)), sizes)
         )

@@ -269,22 +269,25 @@ class MiniModel:
         return total, mismatches
 
     def class_count(self, flip_free: bool = False) -> int:
-        """Number of relabeling-t-licit double classes, by flood fill over
-        the full enumeration with left relabeling and right licit
-        generators.  With flip_free, only classes inside the flip-free
-        subgroup, relabelings restricted to it (edge part trivial there)."""
+        """Number of relabeling-t-licit double classes I\\G/L, as the orbits of
+        I on the left cosets t*L (valid since licit_elements() is a subgroup,
+        which check_subgroup_constructions asserts).  With flip_free, only
+        classes inside the flip-free subgroup, relabelings restricted to it
+        (edge part trivial there)."""
         igens = self.relabeling_generators()
         if flip_free:
             igens = [g for g in igens if self.is_flip_free(g)]
-        lgens = self.licit_generators()
-        seen: set[MiniElem] = set()
-        count = 0
+        licit = self.licit_elements()
+        coset: dict[MiniElem, int] = {}
+        reps: list[MiniElem] = []
         for t in self.elements(flip_free):
-            if t in seen:
-                continue
-            count += 1
-            _flood(t, igens, lgens, seen)
-        return count
+            if t not in coset:
+                for l in licit:
+                    coset[mini_mul(t, l)] = len(reps)
+                reps.append(t)
+        return len(
+            orbits(range(len(reps)), igens, lambda g, c: coset[mini_mul(g, reps[c])])
+        )
 
     def solvable_probability(
         self, table: set[MiniElem], flip_free: bool = False
@@ -314,33 +317,10 @@ class MiniModel:
             raise AssertionError("licit generators do not close correctly")
 
 
-def _flood(
-    start: MiniElem,
-    left_gens: Sequence[MiniElem],
-    right_gens: Sequence[MiniElem],
-    seen: set[MiniElem],
-) -> set[MiniElem]:
-    """Add to `seen` everything reachable from `start` by multiplying with
-    left_gens on the left and right_gens on the right; returns `seen`."""
-    seen.add(start)
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for g in left_gens:
-            y = mini_mul(g, x)
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-        for g in right_gens:
-            y = mini_mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 def _closure(gens: Sequence[MiniElem], e: MiniElem) -> set[MiniElem]:
-    return _flood(e, (), gens, set())
+    """The subgroup generated by gens: the orbit of e under right
+    multiplication."""
+    return set(orbits([e], gens, lambda g, x: mini_mul(x, g))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +332,8 @@ def orbits(
     group: Iterable[Hashable],
     act: Callable[[Hashable, Hashable], Hashable],
 ) -> list[tuple[Hashable, ...]]:
-    """Orbits of a finite group acting on finite points, each orbit sorted,
-    orbit list sorted by smallest member."""
+    """Orbits of a finite group, given by its elements or generators, acting
+    on finite points; each orbit sorted, orbit list sorted by smallest member."""
     group = list(group)
     remaining = set(points)
     out = []

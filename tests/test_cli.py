@@ -52,10 +52,28 @@ def test_prob_mc_worker_invariance():
     assert a.stdout == b.stdout
 
 
+def assert_bad_input(r):
+    # exit 2, nothing on stdout, exactly one stderr line and no usage text
+    assert r.returncode == 2
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
+
+
 def test_prob_mc_bad_args():
-    assert run_cli("prob", "--mc", "0").returncode == 2
-    assert run_cli("prob", "--mc", "100", "--workers", "0").returncode == 2
-    assert run_cli("prob", "--mode", "painted").returncode == 2
+    for argv in (
+        ("prob", "--mc", "0"),
+        ("prob", "--mc", "abc"),
+        ("prob", "--mc", "1_000"),
+        ("prob", "--mc", "9" * 5000),
+        ("prob", "--mc", "100", "--workers", "0"),
+        ("prob", "--workers", "0"),
+        ("prob", "--mode", "painted"),
+        ("count", "--mode", "foo"),
+        ("verify", "--level", "x"),
+        ("solvable",),
+    ):
+        assert_bad_input(run_cli(*argv))
 
 
 def test_random_assembly_deterministic(tmp_path):
@@ -231,5 +249,17 @@ def test_verify_quick():
     assert sum(l.startswith("ok: geometry") for l in lines) == 5
 
 
+def test_verify_full():
+    r = run_cli("verify")
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert all(l.startswith("ok: ") for l in lines[:-1])
+    assert lines[-1] == "all checks passed"
+    assert len(lines) == 54
+    assert "ok: mini class count = 27" in lines
+    assert "ok: slice-move group order matches the closed formula" in lines
+
+
 def test_unknown_command():
-    assert run_cli("frobnicate").returncode == 2
+    assert_bad_input(run_cli("frobnicate"))
+    assert_bad_input(run_cli())

@@ -84,6 +84,30 @@ def test_estimate_worker_invariant():
         assert a == b == d
 
 
+def test_estimate_threads_bounded(monkeypatch):
+    # more workers than CPUs, one stream each: the pool stays at one thread
+    # per CPU, and the estimate is the one-worker estimate
+    import os
+    import threading
+    import time
+
+    cpus = os.cpu_count() or 1
+    n = (cpus + 2) * counting.STREAM_SIZE
+    want = counting.estimate_probability("mechanical", n, seed=17, workers=1)
+    names = set()
+    stream_hits = counting._stream_hits
+
+    def spy(*args):
+        names.add(threading.current_thread().name)
+        time.sleep(0.05)  # keep streams overlapping, as an unbounded pool would
+        return stream_hits(*args)
+
+    monkeypatch.setattr(counting, "_stream_hits", spy)
+    got = counting.estimate_probability("mechanical", n, seed=17, workers=cpus + 2)
+    assert got == want
+    assert 1 <= len(names) <= cpus
+
+
 def test_estimate_pinned():
     # pins from the scalar rebuild of every stream (see
     # test_stream_hits_match_scalar_predicate), not from _stream_hits

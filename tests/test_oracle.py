@@ -69,6 +69,8 @@ def test_mini_group_axioms(make_rng):
 def test_mini_subgroup_constructions():
     oracle.MiniModel(1, 1, 1).check_subgroup_constructions()
     oracle.MiniModel(2, 2, 1).check_subgroup_constructions()
+    # three corners: the corner 3-cycle licit generator
+    oracle.MiniModel(1, 3, 1).check_subgroup_constructions()
 
 
 def test_mini_relabeling_count():
@@ -90,11 +92,13 @@ def test_mini_class_counts():
     assert oracle.MiniModel(0, 1, 1).class_count() == 3
     assert oracle.MiniModel(1, 1, 1).class_count() == 9
     assert oracle.MiniModel(2, 2, 1).class_count() == 27
+    assert oracle.MiniModel(1, 3, 1).class_count() == 9
 
 
 def test_mini_class_counts_flip_free():
     assert oracle.MiniModel(1, 1, 1).class_count(flip_free=True) == 3
     assert oracle.MiniModel(2, 2, 1).class_count(flip_free=True) == 3
+    assert oracle.MiniModel(1, 3, 1).class_count(flip_free=True) == 3
 
 
 def test_mini_closed_form_sweep():
@@ -106,10 +110,18 @@ def test_mini_closed_form_sweep():
     total, mismatches = m.sweep_closed_form(m.solvable_set())
     assert total == 165888
     assert mismatches == 0
+    m = oracle.MiniModel(1, 3, 1)
+    total, mismatches = m.sweep_closed_form(m.solvable_set())
+    assert total == 31104
+    assert mismatches == 0
 
 
 def test_mini_probabilities():
-    for shape, p in (((1, 1, 1), Fraction(1, 6)), ((2, 2, 1), Fraction(1, 12))):
+    for shape, p in (
+        ((1, 1, 1), Fraction(1, 6)),
+        ((2, 2, 1), Fraction(1, 12)),
+        ((1, 3, 1), Fraction(1, 6)),
+    ):
         m = oracle.MiniModel(*shape)
         table = m.solvable_set()
         assert m.solvable_probability(table) == p
