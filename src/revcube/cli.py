@@ -113,7 +113,10 @@ def _cmd_solvable(args: argparse.Namespace) -> int:
     t = _read_state(args.file)
     if args.mode == "mechanical":
         if not cube.preserves_marking(t):
-            print("not mechanically admissible", file=sys.stderr)
+            print(
+                f"error: {args.file}: not mechanically admissible (edge flips present)",
+                file=sys.stderr,
+            )
             return EXIT_BAD_INPUT
         solvable = cube.is_solvable_mechanical(t)
     else:

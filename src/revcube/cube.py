@@ -57,7 +57,7 @@ class CubeState:
             raise ValueError("edge component must be 24 flip-permutation pairs")
         if self.corners.k != 3 or self.corners.degree != NUM_CORNERS:
             raise ValueError("corner component must be 8 twist-permutation pairs")
-        pm.check_perm(self.centers)
+        object.__setattr__(self, "centers", pm.check_perm(self.centers))
         if len(self.centers) != NUM_CENTERS:
             raise ValueError("center component must permute 24 pieces")
 

@@ -250,6 +250,8 @@ class MiniModel:
         licit = self.licit_elements()
         out: set[MiniElem] = set()
         for i in self.relabelings():
+            if i in out:  # i.L is already in: licit_elements() is a subgroup
+                continue
             for l in licit:
                 out.add(mini_mul(i, l))
         return out

@@ -136,10 +136,10 @@ def random_perm(n: int, rng: np.random.Generator) -> Perm:
     """Uniform random permutation via the Fisher-Yates swap shuffle.
 
     Exactly uniform over all n! permutations and deterministic given the
-    generator state; the loop consumes one bounded integer per step.
+    generator state; one bounded integer per step, all drawn in one call.
     """
     out = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    draws = rng.integers(0, np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), draws):
         out[i], out[j] = out[j], out[i]
     return tuple(out)

@@ -52,7 +52,7 @@ class StrongGenSet:
         self.transversal: list[dict[int, Perm]] = []
         self.inv_transversal: list[dict[int, Perm]] = []
         self._identity = pm.identity(degree)
-        self._done: list[set[tuple[int, int]]] = []
+        self._done: list[tuple[int, int]] = []
 
     # -- queries ------------------------------------------------------------
 
@@ -87,19 +87,15 @@ class StrongGenSet:
         self.gens.append([])
         self.transversal.append({point: self._identity})
         self.inv_transversal.append({point: self._identity})
-        self._done.append(set())
-
-    def _fixed_prefix(self, g: Perm) -> int:
-        lev = 0
-        while lev < len(self.base) and g[self.base[lev]] == self.base[lev]:
-            lev += 1
-        return lev
+        self._done.append((0, 0))
 
     def _register(self, g: Perm, min_level: int) -> int:
         """Add a strong generator at levels min_level..j, where j is the
         deepest level whose base prefix g fixes; extend the base when g
         fixes every current base point.  Returns j."""
-        j = self._fixed_prefix(g)
+        j = 0
+        while j < len(self.base) and g[self.base[j]] == self.base[j]:
+            j += 1
         if j == len(self.base):
             self._add_level(min(x for x in range(self.degree) if g[x] != x))
         for k in range(min_level, j + 1):
@@ -107,59 +103,42 @@ class StrongGenSet:
         return j
 
     def _extend_transversal(self, lev: int) -> None:
-        """Grow the orbit of base[lev] without touching existing
-        representatives."""
+        """Grow the orbit of base[lev] in one worklist pass (new points queue
+        in the order found) without touching existing representatives."""
         t = self.transversal[lev]
         ti = self.inv_transversal[lev]
-        gens = self.gens[lev]
-        changed = True
-        while changed:
-            changed = False
-            for pt in list(t.keys()):
-                u = t[pt]
-                for g in gens:
-                    q = g[pt]
-                    if q not in t:
-                        v = pm.compose(g, u)
-                        t[q] = v
-                        ti[q] = pm.inverse(v)
-                        changed = True
+        orbit = list(t)
+        for pt in orbit:
+            for g in self.gens[lev]:
+                q = g[pt]
+                if q not in t:
+                    v = pm.compose(g, t[pt])
+                    t[q] = v
+                    ti[q] = pm.inverse(v)
+                    orbit.append(q)
 
     def _complete_level(self, lev: int) -> None:
         """Establish the Schreier condition at one level, assuming deeper
-        levels already satisfy it."""
-        while True:
-            self._extend_transversal(lev)
-            t = self.transversal[lev]
-            done = self._done[lev]
-            progressed = False
-            for pt in list(t.keys()):
-                u = t[pt]
-                for gi in range(len(self.gens[lev])):
-                    if (pt, gi) in done:
-                        continue
-                    g = self.gens[lev][gi]
-                    q = g[pt]
-                    ui = self.inv_transversal[lev].get(q)
-                    if ui is None:
-                        # orbit grew since the snapshot; restart the scan
-                        progressed = True
-                        break
-                    done.add((pt, gi))
-                    sg = pm.compose(ui, pm.compose(g, u))
-                    if sg == self._identity:
-                        continue
-                    residue, stop = self.sift(sg, lev + 1)
-                    if residue != self._identity:
-                        j = self._register(residue, lev + 1)
-                        for k in range(j, lev, -1):
-                            self._complete_level(k)
-                        progressed = True
-                else:
+        levels already satisfy it.  One pass over the (orbit point,
+        generator) pairs is enough: a Schreier generator fixes base[0..lev],
+        so its residue joins only deeper levels, and gens[lev] and the orbit
+        of base[lev] stay as they are.  Pairs done by earlier calls are
+        skipped by the (points, generators) watermark _done[lev]."""
+        self._extend_transversal(lev)
+        ti = self.inv_transversal[lev]
+        gens = self.gens[lev]
+        old_points, old_gens = self._done[lev]
+        for n, (pt, u) in enumerate(self.transversal[lev].items()):
+            for g in gens[old_gens if n < old_points else 0 :]:
+                sg = pm.compose(ti[g[pt]], pm.compose(g, u))
+                if sg == self._identity:
                     continue
-                break
-            if not progressed:
-                return
+                residue, _ = self.sift(sg, lev + 1)
+                if residue != self._identity:
+                    j = self._register(residue, lev + 1)
+                    for k in range(j, lev, -1):
+                        self._complete_level(k)
+        self._done[lev] = (len(ti), len(gens))
 
     def check_structure(self) -> None:
         """Internal consistency: generators fix their prefix, representatives

@@ -35,7 +35,8 @@ class WreathElem:
             )
         if not all(isinstance(t, int) and 0 <= t < self.k for t in self.twists):
             raise ValueError(f"twists must lie in 0..{self.k - 1}: {self.twists!r}")
-        pm.check_perm(self.perm)
+        object.__setattr__(self, "twists", tuple(self.twists))
+        object.__setattr__(self, "perm", pm.check_perm(self.perm))
 
     @classmethod
     def identity(cls, k: int, n: int) -> "WreathElem":

@@ -188,6 +188,8 @@ def test_solvable_mechanical_rejects_flips(tmp_path):
     r = run_cli("solvable", str(f), "--mode", "mechanical")
     assert r.returncode == 2
     assert "not mechanically admissible" in r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
     # the same file is fine in marked mode (a pure pair flip is solvable)
     assert run_cli("solvable", str(f)).returncode == 0
 

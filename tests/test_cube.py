@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from revcube import cube, geometry, perm
@@ -269,6 +270,21 @@ def test_group_axioms_on_states(make_rng):
         assert (a * b) * c == a * (b * c)
         assert a * a.inverse() == IDENT
         assert a.inverse() * a == IDENT
+
+
+def test_constructor_keeps_normalised_tuples():
+    listed = cube.CubeState(
+        WreathElem(2, [0] * 24, list(range(24))),
+        WreathElem(3, [0] * 8, list(range(8))),
+        list(range(24)),
+    )
+    arrays = cube.CubeState(
+        WreathElem(2, (0,) * 24, np.arange(24)),
+        WreathElem(3, (0,) * 8, np.arange(8)),
+        np.arange(24),
+    )
+    for t in (listed, arrays):
+        assert t == IDENT and hash(t) == hash(IDENT)
 
 
 # state files

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from revcube import perm
@@ -18,6 +19,15 @@ def test_validation():
         WreathElem(2, (0, 0, 0), (0, 1))
     with pytest.raises(ValueError):
         WreathElem(3, (0, 0), (0, 0))
+    with pytest.raises(ValueError):
+        WreathElem(2, np.array([0, 1]), (0, 1))  # twists must be Python ints
+
+
+def test_constructor_keeps_normalised_tuples():
+    ref = WreathElem(2, (0, 1, 0), (2, 0, 1))
+    for twists, p in [([0, 1, 0], [2, 0, 1]), ((0, 1, 0), np.array([2, 0, 1]))]:
+        e = WreathElem(2, twists, p)
+        assert e == ref and hash(e) == hash(ref)
 
 
 def test_identity_and_degree():
