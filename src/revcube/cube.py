@@ -22,6 +22,10 @@ Solvability of an assembly means a relabeling followed by a licit element
 reaches it.  In closed form: every edge pair has equal flip bits and the
 corner twists sum to 0 mod 3.  The closed form is not trusted here by
 fiat: the oracle module checks it exhaustively on miniature models.
+
+Constructors and parse_state validate their input and raise ValueError;
+products and inverses of valid assemblies stay in the group and are built
+without re-checking.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import geometry
 from . import perm as pm
-from .wreath import WreathElem
+from .wreath import WreathElem, _trusted
 
 NUM_EDGES = geometry.NUM_EDGES
 NUM_EDGE_PAIRS = geometry.NUM_EDGE_PAIRS
@@ -62,17 +66,19 @@ class CubeState:
             raise ValueError("center component must permute 24 pieces")
 
     def __mul__(self, other: "CubeState") -> "CubeState":
-        return CubeState(
-            self.edges * other.edges,
-            self.corners * other.corners,
-            pm.compose(self.centers, other.centers),
+        return _trusted(
+            CubeState,
+            edges=self.edges * other.edges,
+            corners=self.corners * other.corners,
+            centers=pm.compose(self.centers, other.centers),
         )
 
     def inverse(self) -> "CubeState":
-        return CubeState(
-            self.edges.inverse(),
-            self.corners.inverse(),
-            pm.inverse(self.centers),
+        return _trusted(
+            CubeState,
+            edges=self.edges.inverse(),
+            corners=self.corners.inverse(),
+            centers=pm.inverse(self.centers),
         )
 
 
@@ -229,10 +235,10 @@ class StateClass:
 
     def __post_init__(self) -> None:
         if len(self.pair_labels) != NUM_EDGE_PAIRS or not all(
-            l in (0, 1, 2) for l in self.pair_labels
+            type(l) is int and l in (0, 1, 2) for l in self.pair_labels
         ):
             raise ValueError("need 12 pair labels in {0,1,2}")
-        if self.twist not in (0, 1, 2):
+        if type(self.twist) is not int or self.twist not in (0, 1, 2):
             raise ValueError("twist must lie in {0,1,2}")
 
     def to_string(self) -> str:
@@ -284,31 +290,19 @@ def representative(cls: StateClass) -> CubeState:
 def relabeling_generators() -> tuple[CubeState, ...]:
     """Generators of the relabeling group: one pair swap with both bits
     flipped per edge pair, a 4-cycle and a transposition per center block."""
+    ident = identity_state()
     gens = []
     for k in range(NUM_EDGE_PAIRS):
         bits = [0] * NUM_EDGES
         bits[2 * k] = bits[2 * k + 1] = 1
-        gens.append(
-            CubeState(
-                WreathElem(
-                    2,
-                    tuple(bits),
-                    pm.transposition(NUM_EDGES, 2 * k, 2 * k + 1),
-                ),
-                WreathElem.identity(3, NUM_CORNERS),
-                pm.identity(NUM_CENTERS),
-            )
-        )
+        swap = pm.transposition(NUM_EDGES, 2 * k, 2 * k + 1)
+        edges = WreathElem(2, tuple(bits), swap)
+        gens.append(CubeState(edges, ident.corners, ident.centers))
     for k in range(NUM_CENTER_BLOCKS):
         base = 4 * k
         for cyc in ((base, base + 1, base + 2, base + 3), (base, base + 1)):
-            gens.append(
-                CubeState(
-                    WreathElem.identity(2, NUM_EDGES),
-                    WreathElem.identity(3, NUM_CORNERS),
-                    pm.from_cycles(NUM_CENTERS, [cyc]),
-                )
-            )
+            centers = pm.from_cycles(NUM_CENTERS, [cyc])
+            gens.append(CubeState(ident.edges, ident.corners, centers))
     return tuple(gens)
 
 
@@ -350,11 +344,8 @@ def random_relabeling(rng: np.random.Generator) -> CubeState:
         block = pm.random_perm(4, rng)
         for i, x in enumerate(block):
             zperm[4 * k + i] = 4 * k + x
-    return CubeState(
-        WreathElem(2, tuple(bits), tuple(eperm)),
-        WreathElem.identity(3, NUM_CORNERS),
-        tuple(zperm),
-    )
+    edges = WreathElem(2, tuple(bits), tuple(eperm))
+    return CubeState(edges, identity_state().corners, tuple(zperm))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +385,7 @@ def format_state(t: CubeState) -> str:
 
 
 def parse_state(text: str) -> CubeState:
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if len(lines) != len(_STATE_LINES):
@@ -414,18 +405,14 @@ def parse_state(text: str) -> CubeState:
                 lineno, len(tokens) + 1, f"expected {count} values, got {len(tokens)}"
             )
         values = []
+        bound = modulus or count
         for pos, tok in enumerate(tokens, start=1):
             if not (tok.isascii() and tok.isdigit()):  # [0-9]+, unlike int()
                 raise StateFileError(lineno, pos, f"not an integer: {tok!r}")
             v = int(tok)
-            if modulus is not None and not 0 <= v < modulus:
-                raise StateFileError(
-                    lineno, pos, f"value {v} out of range 0..{modulus - 1}"
-                )
-            if modulus is None and not 0 <= v < count:
-                raise StateFileError(
-                    lineno, pos, f"value {v} out of range 0..{count - 1}"
-                )
+            if not 0 <= v < bound:
+                msg = f"value {v} out of range 0..{bound - 1}"
+                raise StateFileError(lineno, pos, msg)
             values.append(v)
         if modulus is None and not pm.is_perm(values):
             raise StateFileError(lineno, 0, f"'{label}' is not a permutation")

@@ -8,6 +8,9 @@ stores the twist at the destination slot, which gives the composition law
 
 the inverse (-(s^-1).r, s^-1), and the left action (r, s).c == r + s.c on
 twist vectors c.  Only k == 2 (flips) and k == 3 (thirds of a turn) occur.
+
+The constructor validates its input; products and inverses of valid
+elements are valid by the group law and are built without re-checking.
 """
 
 from __future__ import annotations
@@ -15,6 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import perm as pm
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls from fields already known to
+    be valid, built without running __post_init__."""
+    out = object.__new__(cls)
+    out.__dict__.update(fields)
+    return out
 
 
 @dataclass(frozen=True)
@@ -26,14 +37,14 @@ class WreathElem:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.k not in (2, 3):
+        if type(self.k) is not int or self.k not in (2, 3):
             raise ValueError(f"unsupported twist modulus k={self.k}")
         if len(self.twists) != len(self.perm):
             raise ValueError(
                 f"degree mismatch: {len(self.twists)} twists vs "
                 f"{len(self.perm)} permutation entries"
             )
-        if not all(isinstance(t, int) and 0 <= t < self.k for t in self.twists):
+        if not all(type(t) is int and 0 <= t < self.k for t in self.twists):
             raise ValueError(f"twists must lie in 0..{self.k - 1}: {self.twists!r}")
         object.__setattr__(self, "twists", tuple(self.twists))
         object.__setattr__(self, "perm", pm.check_perm(self.perm))
@@ -46,25 +57,23 @@ class WreathElem:
     def degree(self) -> int:
         return len(self.perm)
 
-    def _require_compatible(self, other: "WreathElem") -> None:
+    def __mul__(self, other: "WreathElem") -> "WreathElem":
+        """Group product; other acts first."""
         if self.k != other.k:
             raise ValueError(f"modulus mismatch: {self.k} vs {other.k}")
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def __mul__(self, other: "WreathElem") -> "WreathElem":
-        """Group product; other acts first."""
-        self._require_compatible(other)
         tw = list(self.twists)
         for i, j in enumerate(self.perm):
             tw[j] = (self.twists[j] + other.twists[i]) % self.k
-        return WreathElem(self.k, tuple(tw), pm.compose(self.perm, other.perm))
+        perm = pm.compose(self.perm, other.perm)
+        return _trusted(WreathElem, k=self.k, twists=tuple(tw), perm=perm)
 
     def inverse(self) -> "WreathElem":
         inv = pm.inverse(self.perm)
         # (s^-1 . r)[j] == r[s(j)], negated mod k
         tw = tuple((-self.twists[self.perm[j]]) % self.k for j in range(self.degree))
-        return WreathElem(self.k, tw, inv)
+        return _trusted(WreathElem, k=self.k, twists=tw, perm=inv)
 
     def act(self, vector: tuple[int, ...]) -> tuple[int, ...]:
         """Left action on a twist vector: permute entries, then add twists."""

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+
+from revcube import cube, sims
 
 
 @pytest.fixture
@@ -10,3 +14,17 @@ def make_rng():
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     return _make
+
+
+@pytest.fixture(scope="session")
+def timed_slice_group():
+    """The slice-move group's BSGS, built once per session, and the seconds
+    its build took (embedding the generators included)."""
+    t0 = time.monotonic()
+    sgs = sims.build_bsgs([sims.embed(g) for g in cube.all_generators()])
+    return sgs, time.monotonic() - t0
+
+
+@pytest.fixture
+def slice_group(timed_slice_group):
+    return timed_slice_group[0]

@@ -13,8 +13,6 @@ import numpy as np
 
 from revcube import counting, cube, oracle, perm, sims
 
-_shared = {}
-
 
 def report(num, desc, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -74,13 +72,9 @@ def test_criterion_04_edge_pair_intermediate_count():
     )
 
 
-def test_criterion_05_strong_generating_set_order():
-    t0 = time.monotonic()
-    gens = [sims.embed(g) for g in cube.all_generators()]
-    sgs = sims.build_bsgs(gens)
-    dt = time.monotonic() - t0
+def test_criterion_05_strong_generating_set_order(timed_slice_group):
+    sgs, dt = timed_slice_group
     want = math.factorial(24) ** 2 * 3**8 * math.factorial(8) // 6
-    _shared["sgs"] = sgs
     report(
         5,
         "computed group order matches 24!^2 * 3^8 * 8! / 6",
@@ -89,15 +83,12 @@ def test_criterion_05_strong_generating_set_order():
     )
 
 
-def test_criterion_06_sifting_matches_predicate():
-    sgs = _shared.get("sgs") or sims.build_bsgs(
-        [sims.embed(g) for g in cube.all_generators()]
-    )
+def test_criterion_06_sifting_matches_predicate(slice_group):
     rng = make_rng(2026)
     n_in = n_out = bad = 0
     for _ in range(1500):
         t = cube.random_mechanical_assembly(rng)
-        member = sgs.contains(sims.embed(t))
+        member = slice_group.contains(sims.embed(t))
         if member != cube.is_licit(t):
             bad += 1
         n_in += member

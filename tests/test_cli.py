@@ -1,18 +1,32 @@
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
-import pytest
-
-from revcube import cube
+from revcube import cli, cube
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
+    """`revcube ARGS` in process, read like a finished subprocess."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as e:
+            code = e.code
+    stdout, stderr = out.getvalue(), err.getvalue()
+    return SimpleNamespace(returncode=code, stdout=stdout, stderr=stderr)
+
+
+def run_module(*args):
+    """`python -m revcube ARGS` as a real process, to cover the entry point."""
     cmd = [sys.executable, "-m", "revcube", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True)
 
 
 def test_count():
-    r = run_cli("count")
+    r = run_module("count")
     assert r.returncode == 0
     assert r.stdout.strip() == "1594323"
     r = run_cli("count", "--mode", "mechanical")
@@ -87,37 +101,30 @@ def test_random_assembly_deterministic(tmp_path):
     assert cube.classify(t).to_string() == "201000200000:2"
 
 
-def test_random_assembly_seed_env():
-    import os
-
-    env = os.environ.copy()
-    env["REVCUBE_SEED"] = "3"
-    a = run_cli("random-assembly", env=env)
+def test_random_assembly_seed_env(monkeypatch):
+    monkeypatch.setenv("REVCUBE_SEED", "3")
+    a = run_cli("random-assembly")
+    monkeypatch.delenv("REVCUBE_SEED")
     b = run_cli("random-assembly", "--seed", "3")
     assert a.stdout == b.stdout
     # explicit flag wins over the environment
-    env["REVCUBE_SEED"] = "77"
-    c = run_cli("random-assembly", "--seed", "3", env=env)
+    monkeypatch.setenv("REVCUBE_SEED", "77")
+    c = run_cli("random-assembly", "--seed", "3")
     assert c.stdout == b.stdout
-    env["REVCUBE_SEED"] = "notanumber"
-    d = run_cli("random-assembly", env=env)
+    monkeypatch.setenv("REVCUBE_SEED", "notanumber")
+    d = run_cli("random-assembly")
     assert d.returncode == 2
     assert "REVCUBE_SEED" in d.stderr
 
 
-def test_negative_seed_rejected(monkeypatch, capsys):
-    import os
-
-    from revcube import cli
-
+def test_negative_seed_rejected(monkeypatch):
     r = run_cli("prob", "--mc", "10", "--seed", "-1")
     assert r.returncode == 2
     assert r.stderr.splitlines() == [
         "error: --seed must be a non-negative integer, got '-1'"
     ]
-    env = os.environ.copy()
-    env["REVCUBE_SEED"] = "-5"
-    r = run_cli("random-assembly", env=env)
+    monkeypatch.setenv("REVCUBE_SEED", "-5")
+    r = run_cli("random-assembly")
     assert r.returncode == 2
     assert r.stderr.splitlines() == [
         "error: REVCUBE_SEED must be a non-negative integer, got '-5'"
@@ -130,12 +137,11 @@ def test_negative_seed_rejected(monkeypatch, capsys):
             ("REVCUBE_SEED", ["random-assembly"]),
         ):
             monkeypatch.setenv("REVCUBE_SEED", bad)
-            with pytest.raises(SystemExit) as e:
-                cli.main(argv)
-            assert e.value.code == 2, (source, bad)
-            err = capsys.readouterr()
-            assert err.out == ""
-            assert err.err == f"error: {source} must be a non-negative integer, got {bad!r}\n"
+            r = run_cli(*argv)
+            assert r.returncode == 2, (source, bad)
+            assert r.stdout == ""
+            want = f"error: {source} must be a non-negative integer, got {bad!r}\n"
+            assert r.stderr == want
 
 
 def test_random_assembly_mechanical_flip_free():
@@ -147,7 +153,7 @@ def test_random_assembly_mechanical_flip_free():
 def test_solvable_exit_codes(tmp_path):
     solved = tmp_path / "solved.txt"
     solved.write_text(cube.format_state(cube.identity_state()))
-    r = run_cli("solvable", str(solved))
+    r = run_module("solvable", str(solved))
     assert r.returncode == 0
     assert r.stdout.strip() == "solvable"
 
@@ -167,7 +173,7 @@ def test_solvable_exit_codes(tmp_path):
     )
     bad = tmp_path / "twisted.txt"
     bad.write_text(cube.format_state(twist))
-    r = run_cli("solvable", str(bad))
+    r = run_module("solvable", str(bad))
     assert r.returncode == 1
     assert r.stdout.startswith("unsolvable: ")
     assert r.stdout.strip().endswith(":1")
@@ -263,5 +269,5 @@ def test_verify_full():
 
 
 def test_unknown_command():
-    assert_bad_input(run_cli("frobnicate"))
+    assert_bad_input(run_module("frobnicate"))
     assert_bad_input(run_cli())

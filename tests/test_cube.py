@@ -243,6 +243,11 @@ def test_state_class_string_round_trip():
         cube.StateClass.from_string("0000000000003:1")
     with pytest.raises(ValueError):
         cube.StateClass((0,) * 12, 3)
+    # to_string would print 'True' or '1.0'
+    zeros = (0,) * 12
+    for labels, twist in [((True,) + zeros[1:], 0), (zeros, True), (zeros, 1.0)]:
+        with pytest.raises(ValueError):
+            cube.StateClass(labels, twist)
 
 
 def test_random_assembly_pinned_class(make_rng):
@@ -285,6 +290,53 @@ def test_constructor_keeps_normalised_tuples():
     )
     for t in (listed, arrays):
         assert t == IDENT and hash(t) == hash(IDENT)
+
+
+def test_constructor_rejects_bad_components():
+    edges, corners, centers = IDENT.edges, IDENT.corners, IDENT.centers
+    for bad in [
+        (WreathElem.identity(3, 24), corners, centers),
+        (WreathElem.identity(2, 23), corners, centers),
+        (edges, WreathElem.identity(2, 8), centers),
+        (edges, corners, (0,) * 24),
+        (edges, corners, perm.identity(23)),
+    ]:
+        with pytest.raises(ValueError):
+            cube.CubeState(*bad)
+
+
+def _rebuilt(t):
+    """t through the validating public constructors."""
+    if isinstance(t, WreathElem):
+        return WreathElem(t.k, t.twists, t.perm)
+    return cube.CubeState(_rebuilt(t.edges), _rebuilt(t.corners), t.centers)
+
+
+def _rows(t):
+    if isinstance(t, WreathElem):
+        return [t.twists, t.perm]
+    return _rows(t.edges) + _rows(t.corners) + [t.centers]
+
+
+def test_closed_operations_do_not_revalidate(make_rng, monkeypatch):
+    rng = make_rng(315)
+    pairs = [(cube.random_assembly(rng), cube.random_assembly(rng)) for _ in range(20)]
+
+    def refuse(p):
+        raise AssertionError("a product or inverse re-validated its result")
+
+    monkeypatch.setattr(perm, "check_perm", refuse)
+    results = []
+    for a, b in pairs:
+        results += [a * b, a.inverse()]
+        for x, y in [(a.edges, b.edges), (a.corners, b.corners)]:
+            results += [x * y, x.inverse()]
+    monkeypatch.undo()
+    for t in results:
+        ref = _rebuilt(t)
+        assert t == ref and hash(t) == hash(ref)
+        for row in _rows(t):
+            assert type(row) is tuple and all(type(x) is int for x in row)
 
 
 # state files

@@ -98,11 +98,6 @@ def test_embed_faithful_on_fibres():
     assert sims.embed(flip) != sims.embed(twist)
 
 
-@pytest.fixture(scope="module")
-def slice_group():
-    return sims.build_bsgs([sims.embed(g) for g in cube.all_generators()])
-
-
 def test_slice_group_order(slice_group):
     assert slice_group.order() == counting.num_licit()
 

@@ -21,6 +21,15 @@ def test_validation():
         WreathElem(3, (0, 0), (0, 0))
     with pytest.raises(ValueError):
         WreathElem(2, np.array([0, 1]), (0, 1))  # twists must be Python ints
+    with pytest.raises(ValueError):
+        WreathElem(2, (True, True) + (0,) * 22, perm.identity(24))  # not bools
+    with pytest.raises(ValueError):
+        WreathElem(2.0, (0, 1), (1, 0))  # the modulus too
+    # products check that their operands live in the same group
+    with pytest.raises(ValueError):
+        WreathElem.identity(2, 3) * WreathElem.identity(3, 3)
+    with pytest.raises(ValueError):
+        WreathElem.identity(2, 3) * WreathElem.identity(2, 2)
 
 
 def test_constructor_keeps_normalised_tuples():
