@@ -231,19 +231,18 @@ def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
     )
     got = model.class_count(flip_free=True)
     yield f"mini flip-free class count = {expect_free}", got == expect_free, f"got {got}"
-    table = model.solvable_set()
-    total, bad = model.sweep_closed_form(table)
+    total, bad = model.sweep_closed_form()
     yield (
         f"closed-form solvability matches brute force on {total} elements",
         bad == 0,
         f"{bad} mismatches",
     )
     want = Fraction(1, 3 * 2**model.pairs)
-    got_p = model.solvable_probability(table)
+    got_p = model.solvable_probability()
     yield f"mini solvable probability = {want}", got_p == want, f"got {got_p}"
-    got_p = model.solvable_probability(table, flip_free=True)
+    got_p = model.solvable_probability(flip_free=True)
     yield f"mini flip-free probability = 1/3", got_p == Fraction(1, 3), f"got {got_p}"
-    del table  # not held through the strong generating set build
+    del model  # its coset table is not held through the strong generating set build
 
     if level == "full":
         sgs = sims.build_bsgs([sims.embed(g) for g in cube.all_generators()])

@@ -163,11 +163,14 @@ def is_licit(t: CubeState) -> bool:
     return preserves_marking(t) and characteristic(t) == (0, 1)
 
 
+_SOLVED_CORNERS = ((0,) * NUM_CORNERS, tuple(range(NUM_CORNERS)))
+
+
 def is_relabeling(t: CubeState) -> bool:
     """Permutes identically-colored pieces in place, invisible on a solved
     cube: every edge pair is either fixed bit-free or swapped with both
     members flipped, corners untouched, centers stay inside their face."""
-    if t.corners != WreathElem.identity(3, NUM_CORNERS):
+    if (t.corners.twists, t.corners.perm) != _SOLVED_CORNERS:
         return False
     ep, eb = t.edges.perm, t.edges.twists
     for k in range(NUM_EDGE_PAIRS):

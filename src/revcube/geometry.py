@@ -165,6 +165,8 @@ EDGE_STICKERS: tuple[tuple[Vec, Vec], ...] = tuple(
 CORNER_STICKERS: tuple[tuple[Vec, Vec, Vec], ...] = tuple(
     _corner_stickers(p) for p in CORNER_POSITIONS
 )
+
+
 def _center_sticker(p: Vec) -> Vec:
     (a,) = _major_axes(p)
     return _unit(a, _sgn(p[a]))
@@ -208,54 +210,38 @@ def move_components(
     perm[i] is the slot the piece in slot i moves to; the twist is stored at
     the destination slot.  Certified: every sticker of a moved piece must
     land with the same fibre offset, otherwise the move would not have
-    wreath coordinates at all.
+    wreath coordinates at all.  Centers follow their one sticker and carry
+    no twist.
     """
     sense = -1 if layer > 0 else 1
 
     def rot(v: Vec) -> Vec:
         return rotate(v, axis, sense)
 
-    edge_perm = list(range(NUM_EDGES))
-    edge_tw = [0] * NUM_EDGES
-    for i, p in enumerate(EDGE_POSITIONS):
-        if p[axis] != layer:
-            continue
-        j = _EDGE_INDEX[rot(p)]
-        edge_perm[i] = j
-        src, dst = EDGE_STICKERS[i], EDGE_STICKERS[j]
-        off = dst.index(rot(src[0]))
-        for b in range(2):
-            if rot(src[b]) != dst[(b + off) % 2]:
-                raise GeometryError(f"edge sticker map not a twist at {p}")
-        edge_tw[j] = off
+    def follow(
+        positions: tuple[Vec, ...], index: dict[Vec, int], stickers: tuple
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        k = len(stickers[0])
+        perm = list(range(len(positions)))
+        tw = [0] * len(positions)
+        for i, p in enumerate(positions):
+            if p[axis] != layer:
+                continue
+            j = index[rot(p)]
+            perm[i] = j
+            src, dst = stickers[i], stickers[j]
+            off = dst.index(rot(src[0]))
+            if any(rot(src[b]) != dst[(b + off) % k] for b in range(k)):
+                raise GeometryError(f"sticker map not a twist at {p}")
+            tw[j] = off
+        return tuple(tw), tuple(perm)
 
-    corner_perm = list(range(NUM_CORNERS))
-    corner_tw = [0] * NUM_CORNERS
-    for i, p in enumerate(CORNER_POSITIONS):
-        if p[axis] != layer:
-            continue
-        j = _CORNER_INDEX[rot(p)]
-        corner_perm[i] = j
-        src, dst = CORNER_STICKERS[i], CORNER_STICKERS[j]
-        off = dst.index(rot(src[0]))
-        for b in range(3):
-            if rot(src[b]) != dst[(b + off) % 3]:
-                raise GeometryError(f"corner sticker map not a twist at {p}")
-        corner_tw[j] = off
-
-    center_perm = list(range(NUM_CENTERS))
-    for i, p in enumerate(CENTER_POSITIONS):
-        if p[axis] != layer:
-            continue
-        center_perm[i] = _CENTER_INDEX[rot(p)]
-
-    return (
-        tuple(edge_tw),
-        tuple(edge_perm),
-        tuple(corner_tw),
-        tuple(corner_perm),
-        tuple(center_perm),
+    edge_tw, edge_perm = follow(EDGE_POSITIONS, _EDGE_INDEX, EDGE_STICKERS)
+    corner_tw, corner_perm = follow(CORNER_POSITIONS, _CORNER_INDEX, CORNER_STICKERS)
+    _, center_perm = follow(
+        CENTER_POSITIONS, _CENTER_INDEX, tuple((s,) for s in CENTER_STICKERS)
     )
+    return edge_tw, edge_perm, corner_tw, corner_perm, center_perm
 
 
 def sticker_color(normal: Vec) -> int:
@@ -307,19 +293,15 @@ def validate_geometry() -> list[tuple[str, bool, str]]:
     detail = ""
     for name, (axis, layer) in MOVE_SLABS.items():
         try:
-            etw, ep, ctw, cp, zp = move_components(axis, layer)
+            _, ep, _, cp, zp = move_components(axis, layer)
         except GeometryError as e:
             ok, detail = False, f"{name}: {e}"
             break
-        slab_e = {i for i, p in enumerate(EDGE_POSITIONS) if p[axis] == layer}
-        slab_c = {i for i, p in enumerate(CORNER_POSITIONS) if p[axis] == layer}
-        slab_z = {i for i, p in enumerate(CENTER_POSITIONS) if p[axis] == layer}
-        ok = ok and {ep[i] for i in slab_e} == slab_e
-        ok = ok and all(ep[i] == i for i in range(NUM_EDGES) if i not in slab_e)
-        ok = ok and {cp[i] for i in slab_c} == slab_c
-        ok = ok and all(cp[i] == i for i in range(NUM_CORNERS) if i not in slab_c)
-        ok = ok and {zp[i] for i in slab_z} == slab_z
-        ok = ok and all(zp[i] == i for i in range(NUM_CENTERS) if i not in slab_z)
+        parts = ((ep, EDGE_POSITIONS), (cp, CORNER_POSITIONS), (zp, CENTER_POSITIONS))
+        for perm, positions in parts:
+            slab = {i for i, p in enumerate(positions) if p[axis] == layer}
+            ok = ok and {perm[i] for i in slab} == slab
+            ok = ok and all(perm[i] == i for i in range(len(perm)) if i not in slab)
         if not ok:
             detail = f"{name}: slab not stable"
             break

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -105,13 +106,9 @@ class MiniModel:
             tuple(range(self.center_n)),
         )
 
-    def elements(self, flip_free: bool = False) -> Iterator[MiniElem]:
-        """Every element of the full mini group, lazily; with flip_free,
-        only those with no edge flips."""
-        if flip_free:
-            flips = [(0,) * self.edge_n]
-        else:
-            flips = list(itertools.product((0, 1), repeat=self.edge_n))
+    def elements(self) -> Iterator[MiniElem]:
+        """Every element of the full mini group, lazily."""
+        flips = list(itertools.product((0, 1), repeat=self.edge_n))
         for ep in itertools.permutations(range(self.edge_n)):
             for eb in flips:
                 for cp in itertools.permutations(range(self.corners)):
@@ -245,61 +242,65 @@ class MiniModel:
 
     # -- exhaustive answers ---------------------------------------------------
 
-    def solvable_set(self) -> set[MiniElem]:
-        """All products relabeling * licit, the brute-force solvable set."""
+    @cached_property
+    def _cosets(self) -> tuple[dict[MiniElem, int], list[MiniElem]]:
+        """Left cosets t*L in one pass over elements(): element -> coset index,
+        one representative per coset.  Valid because L = licit_elements() is a
+        subgroup, which check_subgroup_constructions asserts."""
         licit = self.licit_elements()
-        out: set[MiniElem] = set()
-        for i in self.relabelings():
-            if i in out:  # i.L is already in: licit_elements() is a subgroup
-                continue
-            for l in licit:
-                out.add(mini_mul(i, l))
-        return out
+        coset: dict[MiniElem, int] = {}
+        reps: list[MiniElem] = []
+        for t in self.elements():
+            if t not in coset:
+                for l in licit:
+                    coset[mini_mul(t, l)] = len(reps)
+                reps.append(t)
+        return coset, reps
+
+    def _relabeling_orbits(self, flip_free: bool) -> list[tuple[int, ...]]:
+        """Orbits of I on the cosets, the double classes I\\G/L; with flip_free,
+        of the flip-free relabelings on the flip-free cosets (flip bits are
+        constant on a coset, since L is flip-free)."""
+        coset, reps = self._cosets
+        igens = self.relabeling_generators()
+        points: Iterable[int] = range(len(reps))
+        if flip_free:
+            igens = [g for g in igens if self.is_flip_free(g)]
+            points = [c for c in points if self.is_flip_free(reps[c])]
+        return orbits(points, igens, lambda g, c: coset[mini_mul(g, reps[c])])
+
+    def _solvable_cosets(self, flip_free: bool = False) -> tuple[set[int], int]:
+        """(the I-orbit of the identity's coset, whose union is I*L, number
+        of cosets), in the flip-free part with flip_free."""
+        orbs = self._relabeling_orbits(flip_free)
+        e = self._cosets[0][self.identity()]
+        return set(next(o for o in orbs if e in o)), sum(map(len, orbs))
+
+    def class_count(self, flip_free: bool = False) -> int:
+        """Number of double classes I\\G/L; with flip_free, of the flip-free part."""
+        return len(self._relabeling_orbits(flip_free))
+
+    def solvable_set(self) -> set[MiniElem]:
+        """The brute-force solvable set I*L, the union of solvable cosets."""
+        solvable, _ = self._solvable_cosets()
+        return {t for t, c in self._cosets[0].items() if c in solvable}
 
     def solvable_closed_form(self, t: MiniElem) -> bool:
         """The main-path predicate evaluated on mini coordinates."""
         return cube.solvable_by_invariants(t[0], t[2])
 
-    def sweep_closed_form(self, table: set[MiniElem]) -> tuple[int, int]:
-        """(elements checked, disagreements) between the exhaustive solvable
-        set `table` and the closed form, over the whole model."""
-        total = mismatches = 0
-        for t in self.elements():
-            total += 1
-            if (t in table) != self.solvable_closed_form(t):
-                mismatches += 1
-        return total, mismatches
-
-    def class_count(self, flip_free: bool = False) -> int:
-        """Number of relabeling-t-licit double classes I\\G/L, as the orbits of
-        I on the left cosets t*L (valid since licit_elements() is a subgroup,
-        which check_subgroup_constructions asserts).  With flip_free, only
-        classes inside the flip-free subgroup, relabelings restricted to it
-        (edge part trivial there)."""
-        igens = self.relabeling_generators()
-        if flip_free:
-            igens = [g for g in igens if self.is_flip_free(g)]
-        licit = self.licit_elements()
-        coset: dict[MiniElem, int] = {}
-        reps: list[MiniElem] = []
-        for t in self.elements(flip_free):
-            if t not in coset:
-                for l in licit:
-                    coset[mini_mul(t, l)] = len(reps)
-                reps.append(t)
-        return len(
-            orbits(range(len(reps)), igens, lambda g, c: coset[mini_mul(g, reps[c])])
+    def sweep_closed_form(self) -> tuple[int, int]:
+        """(elements, disagreements of the closed form with the cosets)."""
+        coset = self._cosets[0]
+        solvable, _ = self._solvable_cosets()
+        return len(coset), sum(
+            (c in solvable) != self.solvable_closed_form(t) for t, c in coset.items()
         )
 
-    def solvable_probability(
-        self, table: set[MiniElem], flip_free: bool = False
-    ) -> Fraction:
-        """Share of solvable elements, given the solvable set `table`; with
-        flip_free, the share inside the flip-free subgroup."""
-        if not flip_free:
-            return Fraction(len(table), self.size())
-        hits = sum(1 for t in table if self.is_flip_free(t))
-        return Fraction(hits, self.size() >> self.edge_n)
+    def solvable_probability(self, flip_free: bool = False) -> Fraction:
+        """Share of solvable cosets; with flip_free, of flip-free cosets."""
+        solvable, total = self._solvable_cosets(flip_free)
+        return Fraction(len(solvable), total)
 
     def check_subgroup_constructions(self) -> None:
         """The three routes to each subgroup must agree: direct construction
@@ -320,8 +321,7 @@ class MiniModel:
 
 
 def _closure(gens: Sequence[MiniElem], e: MiniElem) -> set[MiniElem]:
-    """The subgroup generated by gens: the orbit of e under right
-    multiplication."""
+    """The subgroup generated by gens: e's orbit under right multiplication."""
     return set(orbits([e], gens, lambda g, x: mini_mul(x, g))[0])
 
 

@@ -104,9 +104,8 @@ def test_criterion_06_sifting_matches_predicate(slice_group):
 def test_criterion_07_small_model_oracle():
     model = oracle.MiniModel(2, 2, 1)
     classes = model.class_count()
-    table = model.solvable_set()
-    total, mismatches = model.sweep_closed_form(table)
-    prob = model.solvable_probability(table)
+    total, mismatches = model.sweep_closed_form()
+    prob = model.solvable_probability()
     report(
         7,
         "reduced model: 27 classes, exhaustive sweep clean, probability 1/12",

@@ -88,44 +88,46 @@ def test_mini_licit_index():
     assert len(m.licit_elements()) * 6 == m.size() >> (2 * m.pairs)
 
 
-def test_mini_class_counts():
-    assert oracle.MiniModel(0, 1, 1).class_count() == 3
-    assert oracle.MiniModel(1, 1, 1).class_count() == 9
-    assert oracle.MiniModel(2, 2, 1).class_count() == 27
-    assert oracle.MiniModel(1, 3, 1).class_count() == 9
+# shape -> (classes, flip-free classes, elements, probability, flip-free probability)
+ORACLE_ROWS = {
+    (0, 1, 1): (3, 3, 72, Fraction(1, 3), Fraction(1, 3)),
+    (1, 1, 1): (9, 3, 576, Fraction(1, 6), Fraction(1, 3)),
+    (2, 2, 1): (27, 3, 165888, Fraction(1, 12), Fraction(1, 3)),
+    (1, 2, 1): (9, 3, 3456, Fraction(1, 6), Fraction(1, 3)),
+    (2, 1, 1): (27, 3, 27648, Fraction(1, 12), Fraction(1, 3)),
+    (1, 3, 1): (9, 3, 31104, Fraction(1, 6), Fraction(1, 3)),
+    (0, 2, 1): (3, 3, 432, Fraction(1, 3), Fraction(1, 3)),
+    (0, 3, 1): (3, 3, 3888, Fraction(1, 3), Fraction(1, 3)),
+}
 
 
-def test_mini_class_counts_flip_free():
-    assert oracle.MiniModel(1, 1, 1).class_count(flip_free=True) == 3
-    assert oracle.MiniModel(2, 2, 1).class_count(flip_free=True) == 3
-    assert oracle.MiniModel(1, 3, 1).class_count(flip_free=True) == 3
+@pytest.mark.parametrize("shape", ORACLE_ROWS, ids=lambda s: "-".join(map(str, s)))
+def test_mini_oracle_answers(shape):
+    classes, free, total, p, p_free = ORACLE_ROWS[shape]
+    m = oracle.MiniModel(*shape)
+    assert m.class_count() == classes
+    assert m.class_count(flip_free=True) == free
+    assert m.sweep_closed_form() == (total, 0)
+    assert m.solvable_probability() == p
+    assert m.solvable_probability(flip_free=True) == p_free
 
 
-def test_mini_closed_form_sweep():
+def test_mini_answers_share_one_enumeration(monkeypatch):
+    calls = []
+    elements = oracle.MiniModel.elements
+
+    def spy(self):
+        calls.append(self)
+        return elements(self)
+
+    monkeypatch.setattr(oracle.MiniModel, "elements", spy)
     m = oracle.MiniModel(1, 1, 1)
-    total, mismatches = m.sweep_closed_form(m.solvable_set())
-    assert total == 576
-    assert mismatches == 0
-    m = oracle.MiniModel(2, 2, 1)
-    total, mismatches = m.sweep_closed_form(m.solvable_set())
-    assert total == 165888
-    assert mismatches == 0
-    m = oracle.MiniModel(1, 3, 1)
-    total, mismatches = m.sweep_closed_form(m.solvable_set())
-    assert total == 31104
-    assert mismatches == 0
-
-
-def test_mini_probabilities():
-    for shape, p in (
-        ((1, 1, 1), Fraction(1, 6)),
-        ((2, 2, 1), Fraction(1, 12)),
-        ((1, 3, 1), Fraction(1, 6)),
-    ):
-        m = oracle.MiniModel(*shape)
-        table = m.solvable_set()
-        assert m.solvable_probability(table) == p
-        assert m.solvable_probability(table, flip_free=True) == Fraction(1, 3)
+    m.class_count()
+    m.class_count(flip_free=True)
+    m.sweep_closed_form()
+    m.solvable_probability()
+    m.solvable_probability(flip_free=True)
+    assert len(calls) == 1
 
 
 def test_mini_brute_force_agrees_with_products(make_rng):
