@@ -26,7 +26,6 @@ from .cube import (
     apply_word,
     characteristic,
     classify,
-    classify_mechanical,
     format_state,
     generator,
     identity_state,
@@ -57,7 +56,6 @@ __all__ = [
     "apply_word",
     "characteristic",
     "classify",
-    "classify_mechanical",
     "estimate_probability",
     "exact_probability",
     "format_state",

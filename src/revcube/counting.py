@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from . import cube, oracle
 MODES = ("marked", "mechanical")
 
 STREAM_SIZE = 1 << 16
+STREAMS_PER_THREAD = 4  # submitted, not yet collected: memory stays flat in n
 
 
 def _check_mode(mode: str) -> None:
@@ -144,11 +145,16 @@ def estimate_probability(
         raise ValueError("need at least one sample")
     if workers < 1:
         raise ValueError("need at least one worker")
-    sizes = [min(STREAM_SIZE, n - start) for start in range(0, n, STREAM_SIZE)]
-    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        hits = sum(
-            pool.map(_stream_hits, repeat(mode), repeat(seed), range(len(sizes)), sizes)
-        )
+    threads = min(workers, os.cpu_count() or 1)
+    hits = 0
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for index, start in enumerate(range(0, n, STREAM_SIZE)):
+            if len(pending) == STREAMS_PER_THREAD * threads:
+                hits += pending.popleft().result()
+            size = min(STREAM_SIZE, n - start)
+            pending.append(pool.submit(_stream_hits, mode, seed, index, size))
+        hits += sum(f.result() for f in pending)
     p = Fraction(hits, n)
     stderr = math.sqrt(float(p) * (1.0 - float(p)) / n)
     return p, stderr

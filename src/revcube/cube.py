@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,19 +108,11 @@ class Move(enum.Enum):
     U = "U"
 
 
-_GENERATORS: dict[Move, CubeState] = {}
-
-
+@cache
 def generator(move: Move) -> CubeState:
     """The assembly reached from solved by one slice quarter-turn."""
-    cached = _GENERATORS.get(move)
-    if cached is None:
-        etw, ep, ctw, cp, zp = geometry.move_components(
-            *geometry.MOVE_SLABS[move.value]
-        )
-        cached = CubeState(WreathElem(2, etw, ep), WreathElem(3, ctw, cp), zp)
-        _GENERATORS[move] = cached
-    return cached
+    etw, ep, ctw, cp, zp = geometry.move_components(*geometry.MOVE_SLABS[move.value])
+    return CubeState(WreathElem(2, etw, ep), WreathElem(3, ctw, cp), zp)
 
 
 def all_generators() -> tuple[CubeState, ...]:
@@ -265,13 +258,6 @@ def classify(t: CubeState) -> StateClass:
     return StateClass(labels, t.corners.twist_sum())
 
 
-def classify_mechanical(t: CubeState) -> int:
-    """Total corner twist, the complete invariant for flip-free assemblies."""
-    if not preserves_marking(t):
-        raise ValueError("mechanical classification needs a flip-free assembly")
-    return t.corners.twist_sum()
-
-
 def representative(cls: StateClass) -> CubeState:
     """Canonical assembly in a class: identity permutations, pair bits from
     the labels, all twist on corner 0."""
@@ -309,10 +295,9 @@ def relabeling_generators() -> tuple[CubeState, ...]:
     return tuple(gens)
 
 
-def random_assembly(rng: np.random.Generator) -> CubeState:
-    """Uniform over all assemblies.  Draw order: edge bits, edge
+def _random_placement(rng: np.random.Generator, ebits: tuple[int, ...]) -> CubeState:
+    """Uniform assembly with the given edge bits.  Draw order: edge
     permutation, corner twists, corner permutation, center permutation."""
-    ebits = tuple(int(x) for x in rng.integers(0, 2, size=NUM_EDGES))
     eperm = pm.random_perm(NUM_EDGES, rng)
     ctw = tuple(int(x) for x in rng.integers(0, 3, size=NUM_CORNERS))
     cperm = pm.random_perm(NUM_CORNERS, rng)
@@ -320,17 +305,15 @@ def random_assembly(rng: np.random.Generator) -> CubeState:
     return CubeState(WreathElem(2, ebits, eperm), WreathElem(3, ctw, cperm), zperm)
 
 
+def random_assembly(rng: np.random.Generator) -> CubeState:
+    """Uniform over all assemblies: the 24 edge bits, then the placement."""
+    ebits = tuple(int(x) for x in rng.integers(0, 2, size=NUM_EDGES))
+    return _random_placement(rng, ebits)
+
+
 def random_mechanical_assembly(rng: np.random.Generator) -> CubeState:
     """Uniform over flip-free assemblies; same draw order minus the bits."""
-    eperm = pm.random_perm(NUM_EDGES, rng)
-    ctw = tuple(int(x) for x in rng.integers(0, 3, size=NUM_CORNERS))
-    cperm = pm.random_perm(NUM_CORNERS, rng)
-    zperm = pm.random_perm(NUM_CENTERS, rng)
-    return CubeState(
-        WreathElem(2, (0,) * NUM_EDGES, eperm),
-        WreathElem(3, ctw, cperm),
-        zperm,
-    )
+    return _random_placement(rng, (0,) * NUM_EDGES)
 
 
 def random_relabeling(rng: np.random.Generator) -> CubeState:
@@ -391,10 +374,10 @@ def parse_state(text: str) -> CubeState:
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
-    if len(lines) != len(_STATE_LINES):
-        raise StateFileError(
-            len(lines) + 1, 0, f"expected {len(_STATE_LINES)} lines, got {len(lines)}"
-        )
+    want = len(_STATE_LINES)
+    if len(lines) != want:  # report the first extra or the first missing line
+        line = min(len(lines), want) + 1
+        raise StateFileError(line, 0, f"expected {want} lines, got {len(lines)}")
     rows: list[tuple[int, ...]] = []
     for lineno, (raw, (label, count, modulus)) in enumerate(
         zip(lines, _STATE_LINES), start=1

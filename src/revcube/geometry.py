@@ -38,7 +38,6 @@ full sticker map.
 from __future__ import annotations
 
 import itertools
-from functools import cache
 
 Vec = tuple[int, int, int]
 
@@ -198,7 +197,6 @@ class GeometryError(RuntimeError):
     """The geometric model failed one of its construction certificates."""
 
 
-@cache
 def move_components(
     axis: int, layer: int
 ) -> tuple[

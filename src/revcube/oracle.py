@@ -280,21 +280,14 @@ class MiniModel:
         """Number of double classes I\\G/L; with flip_free, of the flip-free part."""
         return len(self._relabeling_orbits(flip_free))
 
-    def solvable_set(self) -> set[MiniElem]:
-        """The brute-force solvable set I*L, the union of solvable cosets."""
-        solvable, _ = self._solvable_cosets()
-        return {t for t, c in self._cosets[0].items() if c in solvable}
-
-    def solvable_closed_form(self, t: MiniElem) -> bool:
-        """The main-path predicate evaluated on mini coordinates."""
-        return cube.solvable_by_invariants(t[0], t[2])
-
     def sweep_closed_form(self) -> tuple[int, int]:
-        """(elements, disagreements of the closed form with the cosets)."""
+        """(elements, disagreements of the main-path closed form, evaluated on
+        mini coordinates, with the solvable cosets)."""
         coset = self._cosets[0]
         solvable, _ = self._solvable_cosets()
         return len(coset), sum(
-            (c in solvable) != self.solvable_closed_form(t) for t, c in coset.items()
+            (c in solvable) != cube.solvable_by_invariants(t[0], t[2])
+            for t, c in coset.items()
         )
 
     def solvable_probability(self, flip_free: bool = False) -> Fraction:

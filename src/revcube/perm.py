@@ -116,20 +116,9 @@ def transposition(n: int, a: int, b: int) -> Perm:
 def sign(p: Perm) -> int:
     """Parity of the permutation: +1 even, -1 odd.
 
-    Computed as (-1)**(n - number of cycles including fixed points).
+    A cycle of length L is L - 1 transpositions.
     """
-    n = len(p)
-    seen = [False] * n
-    ncyc = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        ncyc += 1
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = p[i]
-    return 1 if (n - ncyc) % 2 == 0 else -1
+    return -1 if sum(len(c) - 1 for c in cycles(p)) % 2 else 1
 
 
 def random_perm(n: int, rng: np.random.Generator) -> Perm:

@@ -28,7 +28,6 @@ from .cube import CubeState
 
 Perm = pm.Perm
 
-EDGE_POINT_BASE = 0
 CORNER_POINT_BASE = 48
 CENTER_POINT_BASE = 72
 DEGREE = 96
@@ -60,25 +59,22 @@ class StrongGenSet:
         """Product of the orbit sizes along the stabilizer chain."""
         return math.prod(len(t) for t in self.transversal)
 
-    def sift(self, p: Perm, start: int = 0) -> tuple[Perm, int]:
-        """Divide off coset representatives level by level.
-
-        Returns the residue and the level reached: (identity, depth) exactly
-        for members of the group (of the start-th stabilizer when start>0).
-        """
+    def _sift(self, p: Perm, start: int = 0) -> Perm:
+        """Divide off coset representatives level by level and return the
+        residue: the identity exactly for members of the group (of the
+        start-th stabilizer when start>0)."""
         for lev in range(start, len(self.base)):
             x = p[self.base[lev]]
             ui = self.inv_transversal[lev].get(x)
             if ui is None:
-                return p, lev
+                return p
             p = pm.compose(ui, p)
-        return p, len(self.base)
+        return p
 
     def contains(self, p: Perm) -> bool:
         if len(p) != self.degree:
             raise ValueError(f"degree mismatch: {len(p)} vs {self.degree}")
-        residue, _ = self.sift(p)
-        return residue == self._identity
+        return self._sift(p) == self._identity
 
     # -- construction ---------------------------------------------------------
 
@@ -133,7 +129,7 @@ class StrongGenSet:
                 sg = pm.compose(ti[g[pt]], pm.compose(g, u))
                 if sg == self._identity:
                     continue
-                residue, _ = self.sift(sg, lev + 1)
+                residue = self._sift(sg, lev + 1)
                 if residue != self._identity:
                     j = self._register(residue, lev + 1)
                     for k in range(j, lev, -1):

@@ -108,6 +108,37 @@ def test_estimate_threads_bounded(monkeypatch):
     assert 1 <= len(names) <= cpus
 
 
+def test_estimate_streams_in_flight_bounded(monkeypatch):
+    # a spy on submission, not a huge n: 100 streams never have more than
+    # STREAMS_PER_THREAD per thread submitted and unfinished
+    import os
+    import time
+
+    workers = 2
+    window = counting.STREAMS_PER_THREAD * min(workers, os.cpu_count() or 1)
+    submitted, finished = [], []
+
+    def stub(mode, seed, index, count):
+        time.sleep(0.001)
+        finished.append(index)
+        return index % 2
+
+    submit = counting.ThreadPoolExecutor.submit
+
+    def spy(self, fn, *args):
+        submitted.append(args)
+        assert len(submitted) - len(finished) <= window
+        return submit(self, fn, *args)
+
+    monkeypatch.setattr(counting, "_stream_hits", stub)
+    monkeypatch.setattr(counting.ThreadPoolExecutor, "submit", spy)
+    n = 100 * counting.STREAM_SIZE
+    est, _ = counting.estimate_probability("mechanical", n, seed=1, workers=workers)
+    assert len(submitted) == 100
+    assert sorted(finished) == list(range(100))
+    assert est == Fraction(50, n)
+
+
 def test_estimate_pinned():
     # pins from the scalar rebuild of every stream (see
     # test_stream_hits_match_scalar_predicate), not from _stream_hits

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -182,7 +184,7 @@ def test_any_permutation_alone_is_solvable(make_rng):
 
 def test_identity_class_string():
     assert cube.classify(IDENT).to_string() == "000000000000:0"
-    assert cube.classify_mechanical(IDENT) == 0
+    assert cube.classify(IDENT).twist == 0
 
 
 def test_classify_constant_on_classes(make_rng):
@@ -210,10 +212,8 @@ def test_classify_mechanical_matches_twist(make_rng):
     rng = make_rng(307)
     for _ in range(100):
         t = cube.random_mechanical_assembly(rng)
-        assert cube.classify_mechanical(t) == t.corners.twist_sum()
-        assert cube.is_solvable_mechanical(t) == (
-            cube.classify_mechanical(t) == 0
-        )
+        assert cube.classify(t).twist == t.corners.twist_sum()
+        assert cube.is_solvable_mechanical(t) == (cube.classify(t).twist == 0)
 
 
 def test_representative_round_trip(make_rng):
@@ -257,6 +257,33 @@ def test_random_assembly_pinned_class(make_rng):
     assert cube.classify(t).to_string() == "020010000012:1"
     assert t.edges.twists[:4] == (1, 1, 1, 0)
     assert t.corners.twists == (1, 0, 1, 2, 1, 1, 2, 2)
+
+
+# sha256 of format_state for seeds 0, 1, 2: each sampler's whole stream,
+# flip bits and placement draws alike
+SAMPLER_PINS = {
+    "random_assembly": (
+        "8a87c5f43b64da07e887ac76952b5a58cbb079368daf882659362e37e538b68c",
+        "a40c1e140a2ee5d85b66a223e801f686daebe3bb0d6efe9d111a923cdf1eb5e3",
+        "537349a7fb8ff947fec4f944c0ba7c3075648a441ee670d508df8d07ec498778",
+    ),
+    "random_mechanical_assembly": (
+        "3e660d2586fdbcf1df5fb994710e60f49ed184f1aecd094071b9c4e64c4517c8",
+        "b881a9eec0854d2387d7a445d5a4abfc6aa0f600dba35691c02400153ff7c061",
+        "cbd058b6d0c9dbd316faa097826ee820d7ac77001141529fa5e44d2dbd8179ca",
+    ),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLER_PINS))
+def test_sampler_streams_pinned(make_rng, sampler):
+    got = tuple(
+        hashlib.sha256(
+            cube.format_state(getattr(cube, sampler)(make_rng(seed))).encode()
+        ).hexdigest()
+        for seed in range(3)
+    )
+    assert got == SAMPLER_PINS[sampler]
 
 
 def test_random_mechanical_assembly_is_flip_free(make_rng):
@@ -404,8 +431,9 @@ def test_parse_state_wrong_shape():
     with pytest.raises(cube.StateFileError):
         cube.parse_state("garbage\n")
     text = cube.format_state(IDENT)
-    with pytest.raises(cube.StateFileError):
+    with pytest.raises(cube.StateFileError) as e:
         cube.parse_state(text + "extra: 1\n")
+    assert e.value.line == 6
     short = "\n".join(text.splitlines()[:4]) + "\n"
     with pytest.raises(cube.StateFileError):
         cube.parse_state(short)
