@@ -24,12 +24,17 @@ EXIT_BAD_INPUT = 2
 EXIT_VERIFY_FAILED = 3
 
 
+def _fail(message: str) -> NoReturn:
+    """The one exit for invalid input: one stderr line, exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_BAD_INPUT)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line and exit 2, no usage text."""
 
     def error(self, message: str) -> NoReturn:
-        print(f"error: {self.prog}: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
+        _fail(f"{self.prog}: {message}")
 
 
 def _natural(text: str) -> int | None:
@@ -59,10 +64,9 @@ def _seed_from(args: argparse.Namespace) -> int:
         if text is None:
             return 0
     seed = _natural(text)
-    if seed is not None:
-        return seed
-    print(f"error: {source} must be a non-negative integer, got {text!r}", file=sys.stderr)
-    raise SystemExit(EXIT_BAD_INPUT)
+    if seed is None:
+        _fail(f"{source} must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _read_state(path: str) -> cube.CubeState:
@@ -70,20 +74,13 @@ def _read_state(path: str) -> cube.CubeState:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     except OSError as e:
-        print(f"error: cannot read {path}: {e.strerror}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT) from None
+        _fail(f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError as e:
-        print(
-            f"error: {path}: non-ASCII byte 0x{e.object[e.start]:02x}"
-            f" at offset {e.start}",
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_BAD_INPUT) from None
+        _fail(f"{path}: non-ASCII byte 0x{e.object[e.start]:02x} at offset {e.start}")
     try:
         return cube.parse_state(text)
     except ValueError as e:
-        print(f"error: {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT) from None
+        _fail(f"{path}: {e}")
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -95,10 +92,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_prob(args: argparse.Namespace) -> int:
+    seed = _seed_from(args)
     if args.mc is not None:
-        est, err = counting.estimate_probability(
-            args.mode, args.mc, _seed_from(args), args.workers
-        )
+        est, err = counting.estimate_probability(args.mode, args.mc, seed, args.workers)
         print(f"estimate: {est.numerator}/{est.denominator}")
         print(f"stderr: {err:.6e}")
         lo, hi = counting.wilson_interval(int(est * args.mc), args.mc)
@@ -111,17 +107,9 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 
 def _cmd_solvable(args: argparse.Namespace) -> int:
     t = _read_state(args.file)
-    if args.mode == "mechanical":
-        if not cube.preserves_marking(t):
-            print(
-                f"error: {args.file}: not mechanically admissible (edge flips present)",
-                file=sys.stderr,
-            )
-            return EXIT_BAD_INPUT
-        solvable = cube.is_solvable_mechanical(t)
-    else:
-        solvable = cube.is_solvable(t)
-    if solvable:
+    if args.mode == "mechanical" and not cube.preserves_marking(t):
+        _fail(f"{args.file}: not mechanically admissible (edge flips present)")
+    if cube.is_solvable(t):
         print("solvable")
         return EXIT_OK
     print(f"unsolvable: {cube.classify(t).to_string()}")
@@ -137,8 +125,7 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
     try:
         cls = cube.StateClass.from_string(args.cls)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        _fail(str(e))
     sys.stdout.write(cube.format_state(cube.representative(cls)))
     return EXIT_OK
 
@@ -211,26 +198,19 @@ def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
     ok = ok and oracle.burnside_count(points, group, act) == 3
     yield "twist-sign orbit table (3 classes, sign collapses)", ok, ""
 
-    if level == "full":
-        model = oracle.MiniModel(2, 2, 1)
-        expect_classes, expect_free = 27, 3
-    else:
-        model = oracle.MiniModel(1, 1, 1)
-        expect_classes, expect_free = 9, 3
+    # closed forms for p edge pairs: 3^(p+1) classes, 3 flip-free, probability 1/(3*2^p)
+    model = oracle.MiniModel(2, 2, 1) if level == "full" else oracle.MiniModel(1, 1, 1)
     try:
         model.check_subgroup_constructions()
         ok, detail = True, ""
     except AssertionError as e:
         ok, detail = False, str(e)
     yield f"mini model {model.pairs}/{model.corners}/{model.blocks} subgroups", ok, detail
+    want = 3 ** (model.pairs + 1)
     got = model.class_count()
-    yield (
-        f"mini class count = {expect_classes}",
-        got == expect_classes,
-        f"got {got}",
-    )
+    yield f"mini class count = {want}", got == want, f"got {got}"
     got = model.class_count(flip_free=True)
-    yield f"mini flip-free class count = {expect_free}", got == expect_free, f"got {got}"
+    yield "mini flip-free class count = 3", got == 3, f"got {got}"
     total, bad = model.sweep_closed_form()
     yield (
         f"closed-form solvability matches brute force on {total} elements",

@@ -202,14 +202,12 @@ def is_solvable(t: CubeState) -> bool:
 
 
 def is_solvable_mechanical(t: CubeState) -> bool:
-    """Solvability for an assembly built from real pieces (no flips).
-
-    Reduces to the corner twist sum; raises ValueError off the flip-free
-    domain.
-    """
+    """Solvability for an assembly built from real pieces (no flips): the
+    marked question restricted to flip-free input.  Raises ValueError off
+    that domain."""
     if not preserves_marking(t):
         raise ValueError("mechanical solvability needs a flip-free assembly")
-    return t.corners.twist_sum() == 0
+    return is_solvable(t)
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ class MiniModel:
             swap = ((1, 1), (2 * k + 1, 2 * k))
             pair_choices.append((fix, swap))
         out = []
-        for picks in itertools.product(*pair_choices) if self.pairs else [()]:
+        for picks in itertools.product(*pair_choices):
             eb, ep = [], []
             for bits, imgs in picks:
                 eb.extend(bits)

@@ -72,6 +72,7 @@ class StrongGenSet:
         return p
 
     def contains(self, p: Perm) -> bool:
+        p = pm.check_perm(p)
         if len(p) != self.degree:
             raise ValueError(f"degree mismatch: {len(p)} vs {self.degree}")
         return self._sift(p) == self._identity

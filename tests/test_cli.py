@@ -135,6 +135,9 @@ def test_negative_seed_rejected(monkeypatch):
         for source, argv in (
             ("--seed", ["random-assembly", "--seed", bad]),
             ("REVCUBE_SEED", ["random-assembly"]),
+            # the exact probability needs no seed, but it is still checked
+            ("--seed", ["prob", "--seed", bad]),
+            ("REVCUBE_SEED", ["prob"]),
         ):
             monkeypatch.setenv("REVCUBE_SEED", bad)
             r = run_cli(*argv)
@@ -192,10 +195,8 @@ def test_solvable_mechanical_rejects_flips(tmp_path):
     f = tmp_path / "flipped.txt"
     f.write_text(cube.format_state(flipped))
     r = run_cli("solvable", str(f), "--mode", "mechanical")
-    assert r.returncode == 2
-    assert "not mechanically admissible" in r.stderr
-    lines = r.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
+    assert_bad_input(r)
+    assert r.stderr == f"error: {f}: not mechanically admissible (edge flips present)\n"
     # the same file is fine in marked mode (a pure pair flip is solvable)
     assert run_cli("solvable", str(f)).returncode == 0
 
@@ -244,7 +245,9 @@ def test_canonical_identity_class_is_solvable(tmp_path):
 
 
 def test_canonical_rejects_malformed():
-    assert run_cli("canonical", "00:9").returncode == 2
+    r = run_cli("canonical", "00:9")
+    assert_bad_input(r)
+    assert r.stderr == "error: malformed class string '00:9'\n"
     assert run_cli("canonical", "0000000000003:1").returncode == 2
 
 
@@ -255,6 +258,8 @@ def test_verify_quick():
     assert all(l.startswith("ok: ") for l in lines[:-1])
     assert lines[-1] == "all checks passed"
     assert sum(l.startswith("ok: geometry") for l in lines) == 5
+    assert "ok: mini class count = 9" in lines
+    assert "ok: mini flip-free class count = 3" in lines
 
 
 def test_verify_full():

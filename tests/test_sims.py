@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from revcube import counting, cube, perm, sims
@@ -35,6 +36,11 @@ def test_membership_small():
     assert s.contains(perm.from_cycles(4, [(0, 2, 1)]))
     assert not s.contains(perm.transposition(4, 0, 1))
     assert s.contains(perm.identity(4))
+    # any integer sequence is read as a permutation, a list or an array too
+    trivial = sims.build_bsgs([(0, 1, 2)])
+    assert trivial.contains([0, 1, 2]) is True
+    assert trivial.contains(np.arange(3)) is True
+    assert trivial.contains([1, 0, 2]) is False
 
 
 def test_generator_order_does_not_change_group(make_rng):
@@ -144,3 +150,10 @@ def test_slice_group_excludes_single_twist(slice_group):
 def test_contains_rejects_degree_mismatch(slice_group):
     with pytest.raises(ValueError):
         slice_group.contains(perm.identity(5))
+    # a sequence that is no permutation is rejected as build_bsgs rejects it
+    small = sims.build_bsgs([(0, 1, 2)])
+    for bad in ((0.0, 1.0, 2.0), (0, 0, 1)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            sims.build_bsgs([bad])
+        with pytest.raises(ValueError, match="not a permutation"):
+            small.contains(bad)
