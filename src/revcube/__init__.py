@@ -4,18 +4,17 @@ The package answers three questions about a cube taken apart and
 reassembled at random: whether a given assembly can be solved by turns,
 how many visibly distinct assemblies there are, and with what
 probability a uniform random assembly is solvable.  Two regimes are
-supported throughout: ``marked`` distinguishes the two stickers of an
-edge pair, ``mechanical`` ignores edge flips altogether.
+supported throughout, chosen by one ``mode`` argument (default
+``marked``): ``marked`` distinguishes the two stickers of an edge pair,
+``mechanical`` ignores edge flips altogether.
 """
 
 from .counting import (
     estimate_probability,
     exact_probability,
     num_assemblies,
-    num_classes_marked,
-    num_classes_mechanical,
+    num_classes,
     num_licit,
-    num_mechanical_assemblies,
     num_relabelings,
 )
 from .cube import (
@@ -32,11 +31,9 @@ from .cube import (
     is_licit,
     is_relabeling,
     is_solvable,
-    is_solvable_mechanical,
     parse_state,
     preserves_marking,
     random_assembly,
-    random_mechanical_assembly,
     random_relabeling,
     relabeling_generators,
     representative,
@@ -64,17 +61,13 @@ __all__ = [
     "is_licit",
     "is_relabeling",
     "is_solvable",
-    "is_solvable_mechanical",
     "num_assemblies",
-    "num_classes_marked",
-    "num_classes_mechanical",
+    "num_classes",
     "num_licit",
-    "num_mechanical_assemblies",
     "num_relabelings",
     "parse_state",
     "preserves_marking",
     "random_assembly",
-    "random_mechanical_assembly",
     "random_relabeling",
     "relabeling_generators",
     "representative",

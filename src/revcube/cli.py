@@ -84,10 +84,7 @@ def _read_state(path: str) -> cube.CubeState:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.mode == "marked":
-        print(counting.num_classes_marked())
-    else:
-        print(counting.num_classes_mechanical())
+    print(counting.num_classes(args.mode))
     return EXIT_OK
 
 
@@ -131,11 +128,7 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
 
 
 def _cmd_random_assembly(args: argparse.Namespace) -> int:
-    rng = _rng(_seed_from(args))
-    if args.mode == "mechanical":
-        t = cube.random_mechanical_assembly(rng)
-    else:
-        t = cube.random_assembly(rng)
+    t = cube.random_assembly(_rng(_seed_from(args)), args.mode)
     sys.stdout.write(cube.format_state(t))
     return EXIT_OK
 
@@ -162,8 +155,8 @@ def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
     rng = _rng(20260818)
     ok = True
     for _ in range(200):
-        a = cube.random_mechanical_assembly(rng)
-        b = cube.random_mechanical_assembly(rng)
+        a = cube.random_assembly(rng, "mechanical")
+        b = cube.random_assembly(rng, "mechanical")
         ta, sa = cube.characteristic(a)
         tb, sb = cube.characteristic(b)
         if cube.characteristic(a * b) != ((ta + tb) % 3, sa * sb):
@@ -234,7 +227,7 @@ def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
         )
         ok = True
         for _ in range(1000):
-            t = cube.random_mechanical_assembly(rng)
+            t = cube.random_assembly(rng, "mechanical")
             if sgs.contains(sims.embed(t)) != cube.is_licit(t):
                 ok = False
                 break
@@ -267,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_mode(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--mode",
-            choices=counting.MODES,
+            choices=cube.MODES,
             default="marked",
             help="marked tracks every sticker, mechanical ignores flips "
             "(default: marked)",

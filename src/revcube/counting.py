@@ -5,7 +5,9 @@ fractions in lowest terms.  The class counts are assembled from the orbit
 enumerations in the oracle module rather than written down as constants, so
 a wrong orbit table breaks them loudly.
 
-The solvability probability is the ratio
+Each count takes the regime as `mode` (cube.MODES); in mechanical mode the
+marked-only factor (flip bits, pair swaps or pair labels) is 1.  The
+solvability probability is, in either mode, the ratio
 
     (relabelings * licit / their intersection) / all assemblies,
 
@@ -27,22 +29,21 @@ import numpy as np
 
 from . import cube, oracle
 
-MODES = ("marked", "mechanical")
-
 STREAM_SIZE = 1 << 16
 STREAMS_PER_THREAD = 4  # submitted, not yet collected: memory stays flat in n
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+def _marked_only(factor: int, mode: str) -> int:
+    """`factor` in marked mode, 1 in mechanical mode."""
+    cube._check_mode(mode)
+    return factor if mode == "marked" else 1
 
 
-def num_assemblies() -> int:
-    """All ways to reassemble the pieces, markings included:
-    flips * edge placements * twists * corner placements * center placements."""
+def num_assemblies(mode: str = "marked") -> int:
+    """All ways to reassemble the pieces: flips (marked only) * edge
+    placements * twists * corner placements * center placements."""
     return (
-        2**cube.NUM_EDGES
+        _marked_only(2**cube.NUM_EDGES, mode)
         * math.factorial(cube.NUM_EDGES)
         * 3**cube.NUM_CORNERS
         * math.factorial(cube.NUM_CORNERS)
@@ -50,22 +51,17 @@ def num_assemblies() -> int:
     )
 
 
-def num_mechanical_assemblies() -> int:
-    """Assemblies with no edge flips, the physically buildable ones."""
-    return num_assemblies() >> cube.NUM_EDGES
-
-
 def num_licit() -> int:
     """Order of the slice-move group: the characteristic pair (twist sum,
     sign agreement) maps the flip-free group onto a 6-element group, and the
     licit elements are its kernel."""
-    return num_mechanical_assemblies() // 6
+    return num_assemblies("mechanical") // 6
 
 
-def num_relabelings() -> int:
-    """Order of the relabeling group: 2 choices per edge pair, 24 placements
-    per center block."""
-    return 2**cube.NUM_EDGE_PAIRS * 24**cube.NUM_CENTER_BLOCKS
+def num_relabelings(mode: str = "marked") -> int:
+    """Order of the relabeling group: 24 placements per center block, times
+    2 choices per edge pair (fix or swap) in marked mode."""
+    return _marked_only(2**cube.NUM_EDGE_PAIRS, mode) * 24**cube.NUM_CENTER_BLOCKS
 
 
 def num_relabelings_licit() -> int:
@@ -74,16 +70,11 @@ def num_relabelings_licit() -> int:
     return 24**cube.NUM_CENTER_BLOCKS // 2
 
 
-def num_relabelings_mechanical() -> int:
-    """Flip-free relabelings: the pair choices collapse, blocks are free."""
-    return 24**cube.NUM_CENTER_BLOCKS
-
-
-def num_classes_marked() -> int:
-    """Visibly distinct unsolvable-or-solvable assembly classes: one label
-    per edge pair from the pair-flip orbits, times the surviving twist
-    classes.  3^12 * 3 once the orbit tables are in."""
-    return edge_pair_class_count() * len(oracle.twist_sign_orbits())
+def num_classes(mode: str = "marked") -> int:
+    """Visibly distinct assembly classes: the surviving twist classes, times
+    one label per edge pair from the pair-flip orbits in marked mode.
+    3^12 * 3 marked and 3 mechanical once the orbit tables are in."""
+    return _marked_only(edge_pair_class_count(), mode) * len(oracle.twist_sign_orbits())
 
 
 def edge_pair_class_count() -> int:
@@ -91,19 +82,10 @@ def edge_pair_class_count() -> int:
     return len(oracle.pair_orbits()) ** cube.NUM_EDGE_PAIRS
 
 
-def num_classes_mechanical() -> int:
-    """Distinct classes among flip-free assemblies: only the twist survives."""
-    return len(oracle.twist_sign_orbits())
-
-
 def exact_probability(mode: str = "marked") -> Fraction:
     """Chance that a uniformly random (re)assembly is solvable."""
-    _check_mode(mode)
-    if mode == "marked":
-        solvable = num_relabelings() * num_licit() // num_relabelings_licit()
-        return Fraction(solvable, num_assemblies())
-    solvable = num_relabelings_mechanical() * num_licit() // num_relabelings_licit()
-    return Fraction(solvable, num_mechanical_assemblies())
+    solvable = num_relabelings(mode) * num_licit() // num_relabelings_licit()
+    return Fraction(solvable, num_assemblies(mode))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +122,7 @@ def estimate_probability(
     Deterministic given (mode, n, seed); the worker count only schedules
     streams.  The standard error is sqrt(p(1-p)/n) at the estimate.
     """
-    _check_mode(mode)
+    cube._check_mode(mode)
     if n < 1:
         raise ValueError("need at least one sample")
     if workers < 1:

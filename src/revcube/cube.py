@@ -23,9 +23,12 @@ reaches it.  In closed form: every edge pair has equal flip bits and the
 corner twists sum to 0 mod 3.  The closed form is not trusted here by
 fiat: the oracle module checks it exhaustively on miniature models.
 
-Constructors and parse_state validate their input and raise ValueError;
-products and inverses of valid assemblies stay in the group and are built
-without re-checking.
+Two regimes are named by one `mode` string (MODES): ``marked`` covers every
+assembly, ``mechanical`` the flip-free ones, with the flip bits left out.
+
+Constructors and parse_state validate their input and raise ValueError.
+Products and inverses of valid assemblies stay in the group, and a parsed
+state is checked field by field: both are built without re-checking.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ NUM_EDGE_PAIRS = geometry.NUM_EDGE_PAIRS
 NUM_CORNERS = geometry.NUM_CORNERS
 NUM_CENTERS = geometry.NUM_CENTERS
 NUM_CENTER_BLOCKS = geometry.NUM_CENTER_BLOCKS
+
+MODES = ("marked", "mechanical")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
 @dataclass(frozen=True)
@@ -201,15 +211,6 @@ def is_solvable(t: CubeState) -> bool:
     return solvable_by_invariants(t.edges.twists, t.corners.twists)
 
 
-def is_solvable_mechanical(t: CubeState) -> bool:
-    """Solvability for an assembly built from real pieces (no flips): the
-    marked question restricted to flip-free input.  Raises ValueError off
-    that domain."""
-    if not preserves_marking(t):
-        raise ValueError("mechanical solvability needs a flip-free assembly")
-    return is_solvable(t)
-
-
 # ---------------------------------------------------------------------------
 # class invariants
 
@@ -293,25 +294,19 @@ def relabeling_generators() -> tuple[CubeState, ...]:
     return tuple(gens)
 
 
-def _random_placement(rng: np.random.Generator, ebits: tuple[int, ...]) -> CubeState:
-    """Uniform assembly with the given edge bits.  Draw order: edge
-    permutation, corner twists, corner permutation, center permutation."""
+def random_assembly(rng: np.random.Generator, mode: str = "marked") -> CubeState:
+    """Uniform over the assemblies of `mode`.  Draw order: the 24 edge flip
+    bits (marked mode only), edge permutation, corner twists, corner
+    permutation, center permutation."""
+    _check_mode(mode)
+    ebits = (0,) * NUM_EDGES
+    if mode == "marked":
+        ebits = tuple(int(x) for x in rng.integers(0, 2, size=NUM_EDGES))
     eperm = pm.random_perm(NUM_EDGES, rng)
     ctw = tuple(int(x) for x in rng.integers(0, 3, size=NUM_CORNERS))
     cperm = pm.random_perm(NUM_CORNERS, rng)
     zperm = pm.random_perm(NUM_CENTERS, rng)
     return CubeState(WreathElem(2, ebits, eperm), WreathElem(3, ctw, cperm), zperm)
-
-
-def random_assembly(rng: np.random.Generator) -> CubeState:
-    """Uniform over all assemblies: the 24 edge bits, then the placement."""
-    ebits = tuple(int(x) for x in rng.integers(0, 2, size=NUM_EDGES))
-    return _random_placement(rng, ebits)
-
-
-def random_mechanical_assembly(rng: np.random.Generator) -> CubeState:
-    """Uniform over flip-free assemblies; same draw order minus the bits."""
-    return _random_placement(rng, (0,) * NUM_EDGES)
 
 
 def random_relabeling(rng: np.random.Generator) -> CubeState:
@@ -369,7 +364,8 @@ def format_state(t: CubeState) -> str:
 
 
 def parse_state(text: str) -> CubeState:
-    lines = text.splitlines()
+    """Read a state file; lines end at "\n" only, a "\r" before it is whitespace."""
+    lines = text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     want = len(_STATE_LINES)
@@ -401,8 +397,9 @@ def parse_state(text: str) -> CubeState:
         if modulus is None and not pm.is_perm(values):
             raise StateFileError(lineno, 0, f"'{label}' is not a permutation")
         rows.append(tuple(values))
-    return CubeState(
-        WreathElem(2, rows[0], rows[1]),
-        WreathElem(3, rows[2], rows[3]),
-        rows[4],
+    return _trusted(
+        CubeState,
+        edges=_trusted(WreathElem, k=2, twists=rows[0], perm=rows[1]),
+        corners=_trusted(WreathElem, k=3, twists=rows[2], perm=rows[3]),
+        centers=rows[4],
     )

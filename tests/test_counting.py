@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from revcube import counting, cube
@@ -9,25 +10,25 @@ from revcube import counting, cube
 def test_assembly_counts():
     f = math.factorial
     assert counting.num_assemblies() == 2**24 * f(24) * 3**8 * f(8) * f(24)
-    assert counting.num_mechanical_assemblies() == f(24) * 3**8 * f(8) * f(24)
-    assert counting.num_assemblies() == counting.num_mechanical_assemblies() << 24
+    assert counting.num_assemblies("mechanical") == f(24) * 3**8 * f(8) * f(24)
+    assert counting.num_assemblies() == counting.num_assemblies("mechanical") << 24
 
 
 def test_licit_count_is_one_sixth_of_flip_free():
-    assert counting.num_licit() * 6 == counting.num_mechanical_assemblies()
+    assert counting.num_licit() * 6 == counting.num_assemblies("mechanical")
 
 
 def test_relabeling_counts():
     assert counting.num_relabelings() == 2**12 * 24**6
-    assert counting.num_relabelings_mechanical() == 24**6
+    assert counting.num_relabelings("mechanical") == 24**6
     assert counting.num_relabelings_licit() * 2 == 24**6
 
 
 def test_class_counts():
-    assert counting.num_classes_marked() == 1_594_323
-    assert counting.num_classes_marked() == 3**13
+    assert counting.num_classes("marked") == 1_594_323
+    assert counting.num_classes("marked") == 3**13
     assert counting.edge_pair_class_count() == 3**12
-    assert counting.num_classes_mechanical() == 3
+    assert counting.num_classes("mechanical") == 3
 
 
 def test_class_count_times_solvable_size():
@@ -37,28 +38,50 @@ def test_class_count_times_solvable_size():
         * counting.num_licit()
         // counting.num_relabelings_licit()
     )
-    assert solvable * counting.num_classes_marked() > counting.num_assemblies()
+    assert solvable * counting.num_classes("marked") > counting.num_assemblies()
     # mechanical classes are equal-sized, three of them tile everything
-    mech = counting.num_relabelings_mechanical() * counting.num_licit() // (
-        counting.num_relabelings_mechanical() // 2
+    mech = counting.num_relabelings("mechanical") * counting.num_licit() // (
+        counting.num_relabelings("mechanical") // 2
     )
-    assert mech * 3 == counting.num_mechanical_assemblies()
+    assert mech * 3 == counting.num_assemblies("mechanical")
 
 
 def test_exact_probabilities():
     assert counting.exact_probability("marked") == Fraction(1, 12288)
     assert counting.exact_probability("mechanical") == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        counting.exact_probability("painted")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        counting.num_assemblies,
+        counting.num_relabelings,
+        counting.num_classes,
+        counting.exact_probability,
+        lambda mode: counting.estimate_probability(mode, 100, seed=1),
+        lambda mode: cube.random_assembly(np.random.default_rng(0), mode),
+    ],
+    ids=[
+        "num_assemblies",
+        "num_relabelings",
+        "num_classes",
+        "exact_probability",
+        "estimate_probability",
+        "random_assembly",
+    ],
+)
+def test_unknown_mode_rejected(call):
+    with pytest.raises(ValueError, match="unknown mode 'painted'"):
+        call("painted")
 
 
 def test_reciprocal_class_count_comparison():
     # naive 1/classes is wrong for marked, right for mechanical
-    assert Fraction(1, counting.num_classes_marked()) != counting.exact_probability(
+    assert Fraction(1, counting.num_classes("marked")) != counting.exact_probability(
         "marked"
     )
     assert Fraction(
-        1, counting.num_classes_mechanical()
+        1, counting.num_classes("mechanical")
     ) == counting.exact_probability("mechanical")
 
 
@@ -77,7 +100,7 @@ def test_estimate_deterministic_per_seed():
 
 
 def test_estimate_worker_invariant():
-    for mode in counting.MODES:
+    for mode in cube.MODES:
         a = counting.estimate_probability(mode, 200_000, seed=11, workers=1)
         b = counting.estimate_probability(mode, 200_000, seed=11, workers=3)
         d = counting.estimate_probability(mode, 200_000, seed=11, workers=8)
@@ -195,8 +218,6 @@ def test_stream_hits_match_scalar_predicate():
     # piece placements from an independent generator, and judge it with
     # CubeState: the vectorized predicate cannot drift from the scalar one,
     # and the match under arbitrary placements shows neither reads them
-    import numpy as np
-
     from revcube.counting import _stream_hits
     from revcube.wreath import WreathElem
 
@@ -206,16 +227,14 @@ def test_stream_hits_match_scalar_predicate():
     def perm_row(n):
         return tuple(map(int, place.permutation(n)))
 
-    for mode in counting.MODES:
+    for mode in cube.MODES:
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
         )
         if mode == "marked":
             bits = rng.integers(0, 2, size=(count, 24), dtype=np.int8)
-            solvable = cube.is_solvable
         else:
             bits = np.zeros((count, 24), dtype=np.int8)
-            solvable = cube.is_solvable_mechanical
         twists = rng.integers(0, 3, size=(count, 8), dtype=np.int8)
 
         hits = 0
@@ -225,7 +244,7 @@ def test_stream_hits_match_scalar_predicate():
                 WreathElem(3, tuple(map(int, twists[r])), perm_row(8)),
                 perm_row(24),
             )
-            hits += solvable(t)
+            hits += cube.is_solvable(t)
         assert hits == _stream_hits(mode, seed, 0, count)
 
 
@@ -246,7 +265,7 @@ def test_sampled_states_obey_exact_probability(make_rng):
     rng = make_rng(502)
     n = 30_000
     hits = sum(
-        cube.is_solvable_mechanical(cube.random_mechanical_assembly(rng))
+        cube.is_solvable(cube.random_assembly(rng, "mechanical"))
         for _ in range(n)
     )
     p = 1 / 3

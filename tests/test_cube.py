@@ -80,8 +80,8 @@ def test_apply_word_matches_products(make_rng):
 def test_characteristic_homomorphism(make_rng):
     rng = make_rng(302)
     for _ in range(200):
-        a = cube.random_mechanical_assembly(rng)
-        b = cube.random_mechanical_assembly(rng)
+        a = cube.random_assembly(rng, "mechanical")
+        b = cube.random_assembly(rng, "mechanical")
         ta, sa = cube.characteristic(a)
         tb, sb = cube.characteristic(b)
         assert cube.characteristic(a * b) == ((ta + tb) % 3, sa * sb)
@@ -94,8 +94,6 @@ def test_characteristic_rejects_flips():
     )
     with pytest.raises(ValueError):
         cube.characteristic(t)
-    with pytest.raises(ValueError):
-        cube.is_solvable_mechanical(t)
 
 
 def test_relabeling_generators_are_relabelings():
@@ -159,14 +157,12 @@ def test_single_twist_is_unsolvable():
     )
     assert not cube.is_solvable(t)
     assert cube.classify(t).twist == 1
-    assert not cube.is_solvable_mechanical(t)
     # a compensating twist elsewhere restores solvability
     tw2 = (1, 0, 0, 0, 0, 0, 0, 2)
     t2 = cube.CubeState(
         IDENT.edges, WreathElem(3, tw2, perm.identity(8)), IDENT.centers
     )
     assert cube.is_solvable(t2)
-    assert cube.is_solvable_mechanical(t2)
 
 
 def test_any_permutation_alone_is_solvable(make_rng):
@@ -179,7 +175,6 @@ def test_any_permutation_alone_is_solvable(make_rng):
             perm.random_perm(24, rng),
         )
         assert cube.is_solvable(t)
-        assert cube.is_solvable_mechanical(t)
 
 
 def test_identity_class_string():
@@ -211,9 +206,9 @@ def test_solvable_iff_identity_class(make_rng):
 def test_classify_mechanical_matches_twist(make_rng):
     rng = make_rng(307)
     for _ in range(100):
-        t = cube.random_mechanical_assembly(rng)
+        t = cube.random_assembly(rng, "mechanical")
         assert cube.classify(t).twist == t.corners.twist_sum()
-        assert cube.is_solvable_mechanical(t) == (cube.classify(t).twist == 0)
+        assert cube.is_solvable(t) == (cube.classify(t).twist == 0)
 
 
 def test_representative_round_trip(make_rng):
@@ -259,15 +254,15 @@ def test_random_assembly_pinned_class(make_rng):
     assert t.corners.twists == (1, 0, 1, 2, 1, 1, 2, 2)
 
 
-# sha256 of format_state for seeds 0, 1, 2: each sampler's whole stream,
+# sha256 of format_state for seeds 0, 1, 2: each mode's whole stream,
 # flip bits and placement draws alike
 SAMPLER_PINS = {
-    "random_assembly": (
+    "marked": (
         "8a87c5f43b64da07e887ac76952b5a58cbb079368daf882659362e37e538b68c",
         "a40c1e140a2ee5d85b66a223e801f686daebe3bb0d6efe9d111a923cdf1eb5e3",
         "537349a7fb8ff947fec4f944c0ba7c3075648a441ee670d508df8d07ec498778",
     ),
-    "random_mechanical_assembly": (
+    "mechanical": (
         "3e660d2586fdbcf1df5fb994710e60f49ed184f1aecd094071b9c4e64c4517c8",
         "b881a9eec0854d2387d7a445d5a4abfc6aa0f600dba35691c02400153ff7c061",
         "cbd058b6d0c9dbd316faa097826ee820d7ac77001141529fa5e44d2dbd8179ca",
@@ -275,21 +270,21 @@ SAMPLER_PINS = {
 }
 
 
-@pytest.mark.parametrize("sampler", sorted(SAMPLER_PINS))
-def test_sampler_streams_pinned(make_rng, sampler):
+@pytest.mark.parametrize("mode", sorted(SAMPLER_PINS))
+def test_sampler_streams_pinned(make_rng, mode):
     got = tuple(
         hashlib.sha256(
-            cube.format_state(getattr(cube, sampler)(make_rng(seed))).encode()
+            cube.format_state(cube.random_assembly(make_rng(seed), mode)).encode()
         ).hexdigest()
         for seed in range(3)
     )
-    assert got == SAMPLER_PINS[sampler]
+    assert got == SAMPLER_PINS[mode]
 
 
 def test_random_mechanical_assembly_is_flip_free(make_rng):
     rng = make_rng(310)
     for _ in range(50):
-        t = cube.random_mechanical_assembly(rng)
+        t = cube.random_assembly(rng, "mechanical")
         assert t.edges.twists == (0,) * 24
 
 
@@ -425,6 +420,47 @@ def test_parse_state_reports_positions():
         with pytest.raises(cube.StateFileError) as e:
             cube.parse_state("\n".join(lines) + "\n")
         assert e.value.line == lineno and e.value.token == pos
+
+
+def test_parse_state_does_not_revalidate(make_rng, monkeypatch):
+    texts = [cube.format_state(cube.random_assembly(make_rng(seed))) for seed in range(5)]
+
+    def refuse(p):
+        raise AssertionError("parse_state re-validated a checked field")
+
+    monkeypatch.setattr(perm, "check_perm", refuse)
+    parsed = [cube.parse_state(text) for text in texts]
+    monkeypatch.undo()
+    for text, t in zip(texts, parsed):
+        ref = _rebuilt(t)
+        assert t == ref and hash(t) == hash(ref)
+        assert cube.format_state(t) == text
+        for row in _rows(t):
+            assert type(row) is tuple and all(type(x) is int for x in row)
+
+
+def _form_feed_lines(t):
+    """t's state file as lines, with one separator on line 3 a form feed,
+    which str.splitlines() would take for a line break."""
+    lines = cube.format_state(t).splitlines()
+    parts = lines[2].split(" ")  # label, then 8 twists
+    lines[2] = " ".join(parts[:2]) + "\x0c" + " ".join(parts[2:])
+    return lines
+
+
+def test_parse_state_breaks_lines_at_newline_only(make_rng):
+    t = cube.random_assembly(make_rng(316))
+    assert cube.parse_state("\n".join(_form_feed_lines(t)) + "\n") == t
+
+
+def test_parse_state_error_line_after_form_feed(make_rng):
+    lines = _form_feed_lines(cube.random_assembly(make_rng(316)))
+    parts = lines[3].split()
+    parts[1] = "x"
+    lines[3] = " ".join(parts)
+    with pytest.raises(cube.StateFileError) as e:
+        cube.parse_state("\n".join(lines) + "\n")
+    assert e.value.line == 4 and e.value.token == 1
 
 
 def test_parse_state_wrong_shape():

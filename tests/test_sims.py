@@ -114,7 +114,7 @@ def test_slice_group_membership_agrees_with_predicate(slice_group, make_rng):
     rng = make_rng(605)
     n_in = n_out = 0
     for _ in range(600):
-        t = cube.random_mechanical_assembly(rng)
+        t = cube.random_assembly(rng, "mechanical")
         member = slice_group.contains(sims.embed(t))
         assert member == cube.is_licit(t)
         n_in += member
