@@ -25,8 +25,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-import numpy as np
-
 from . import cube, oracle
 
 STREAM_SIZE = 1 << 16
@@ -102,9 +100,8 @@ def exact_probability(mode: str = "marked") -> Fraction:
 
 
 def _stream_hits(mode: str, seed: int, index: int, count: int) -> int:
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    )
+    import numpy as np  # loaded by the first stream, not by the exact counts
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     if mode == "marked":
         bits = rng.integers(0, 2, size=(count, cube.NUM_EDGES), dtype=np.int8)
     twists = rng.integers(0, 3, size=(count, cube.NUM_CORNERS), dtype=np.int8)

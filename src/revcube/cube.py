@@ -37,13 +37,14 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import geometry
 from . import perm as pm
 from .wreath import WreathElem, _trusted
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NUM_EDGES = geometry.NUM_EDGES
 NUM_EDGE_PAIRS = geometry.NUM_EDGE_PAIRS
@@ -349,6 +350,14 @@ class StateFileError(ValueError):
         self.token = token
 
 
+def _natural(text: str) -> int | None:
+    """`text` as an int if it is plain ASCII decimal digits, else None."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def format_state(t: CubeState) -> str:
     rows = (
         t.edges.twists,
@@ -387,10 +396,9 @@ def parse_state(text: str) -> CubeState:
         values = []
         bound = modulus or count
         for pos, tok in enumerate(tokens, start=1):
-            if not (tok.isascii() and tok.isdigit()):  # [0-9]+, unlike int()
+            if (v := _natural(tok)) is None:
                 raise StateFileError(lineno, pos, f"not an integer: {tok!r}")
-            v = int(tok)
-            if not 0 <= v < bound:
+            if v >= bound:
                 msg = f"value {v} out of range 0..{bound - 1}"
                 raise StateFileError(lineno, pos, msg)
             values.append(v)

@@ -10,9 +10,11 @@ Generator, so a fixed seed reproduces the same permutation.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from numbers import Integral
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Perm = tuple[int, ...]
 
@@ -30,8 +32,10 @@ def is_perm(p: Sequence[int]) -> bool:
     """True when p is a bijective image table of {0, ..., len(p)-1}."""
     n = len(p)
     seen = [False] * n
-    for x in p:
-        if not isinstance(x, (int, np.integer)) or not 0 <= x < n or seen[x]:
+    for x in p:  # ints first: the Integral ABC check (numpy ints) is slow
+        if type(x) is not int and not isinstance(x, Integral):
+            return False
+        if not 0 <= x < n or seen[x]:
             return False
         seen[x] = True
     return True
@@ -128,7 +132,7 @@ def random_perm(n: int, rng: np.random.Generator) -> Perm:
     generator state; one bounded integer per step, all drawn in one call.
     """
     out = list(range(n))
-    draws = rng.integers(0, np.arange(n, 1, -1)).tolist()
+    draws = rng.integers(0, range(n, 1, -1)).tolist()
     for i, j in zip(range(n - 1, 0, -1), draws):
         out[i], out[j] = out[j], out[i]
     return tuple(out)

@@ -223,6 +223,16 @@ def test_non_ascii_state_file(tmp_path):
     assert r.stderr.splitlines() == [f"error: {bad}: non-ASCII byte 0xef at offset 8"]
 
 
+def test_long_token_is_a_positioned_error(tmp_path):
+    lines = cube.format_state(cube.identity_state()).splitlines()
+    lines[0] = lines[0].replace(" 0", " " + "1" * 5000, 1)
+    f = tmp_path / "long.txt"
+    f.write_text("\n".join(lines) + "\n")
+    r = run_cli("solvable", str(f))
+    assert_bad_input(r)
+    assert r.stderr.startswith(f"error: {f}: line 1, token 1: ")
+
+
 def test_invariant_canonical_round_trip(tmp_path):
     r = run_cli("random-assembly", "--seed", "12")
     state = tmp_path / "state.txt"
@@ -262,6 +272,15 @@ def test_verify_quick():
     assert "ok: mini flip-free class count = 3" in lines
 
 
+def test_verify_catches_a_coarse_pair_table(monkeypatch):
+    # (0,1) and (1,0) merged: classify then reaches only 2^12 * 3 classes
+    coarse = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): 1}
+    monkeypatch.setattr(cube, "_PAIR_LABEL", coarse)
+    r = run_cli("verify", "--level", "quick")
+    assert r.returncode == 3
+    assert "FAIL: pair-flip orbit table (3 classes, merged (0,0)~(1,1))" in r.stdout
+
+
 def test_verify_full():
     r = run_cli("verify")
     assert r.returncode == 0
@@ -276,3 +295,24 @@ def test_verify_full():
 def test_unknown_command():
     assert_bad_input(run_module("frobnicate"))
     assert_bad_input(run_cli())
+
+
+def test_numpy_loads_only_when_a_command_draws(tmp_path):
+    state = tmp_path / "state.txt"
+    state.write_text(run_cli("random-assembly", "--seed", "3").stdout)
+    script = f"""
+import contextlib, io, sys
+import revcube
+from revcube import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["count"], ["count", "--mode", "mechanical"], ["prob"],
+                 ["solvable", {str(state)!r}], ["invariant", {str(state)!r}],
+                 ["canonical", "201000200000:2"]):
+        cli.main(argv)
+    exact = "numpy" in sys.modules
+    cli.main(["random-assembly", "--seed", "3"])
+print(exact, "numpy" in sys.modules)
+"""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "True"]

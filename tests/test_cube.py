@@ -422,6 +422,15 @@ def test_parse_state_reports_positions():
         assert e.value.line == lineno and e.value.token == pos
 
 
+def test_parse_state_long_token_has_a_position():
+    # ones, not zeros: out of range if int() takes 5,000 digits, unreadable if not
+    lines = cube.format_state(IDENT).splitlines()
+    lines[0] = lines[0].replace(" 0", " " + "1" * 5000, 1)
+    with pytest.raises(cube.StateFileError) as e:
+        cube.parse_state("\n".join(lines) + "\n")
+    assert e.value.line == 1 and e.value.token == 1
+
+
 def test_parse_state_does_not_revalidate(make_rng, monkeypatch):
     texts = [cube.format_state(cube.random_assembly(make_rng(seed))) for seed in range(5)]
 

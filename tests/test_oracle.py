@@ -102,9 +102,12 @@ ORACLE_ROWS = {
 
 
 @pytest.mark.parametrize("shape", ORACLE_ROWS, ids=lambda s: "-".join(map(str, s)))
-def test_mini_oracle_answers(shape):
+def test_mini_oracle_answers(shape, request):
     classes, free, total, p, p_free = ORACLE_ROWS[shape]
-    m = oracle.MiniModel(*shape)
+    if shape == (2, 2, 1):
+        m = request.getfixturevalue("mini_2_2_1")
+    else:
+        m = oracle.MiniModel(*shape)
     assert m.class_count() == classes
     assert m.class_count(flip_free=True) == free
     assert m.sweep_closed_form() == (total, 0)
