@@ -35,7 +35,6 @@ from .cube import (
     preserves_marking,
     random_assembly,
     random_relabeling,
-    relabeling_generators,
     representative,
     StateFileError,
 )
@@ -69,6 +68,5 @@ __all__ = [
     "preserves_marking",
     "random_assembly",
     "random_relabeling",
-    "relabeling_generators",
     "representative",
 ]

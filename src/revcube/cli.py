@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success (or solvable), 1 unsolvable, 2 invalid input,
-3 internal verification failure.  Seeds come from --seed, falling back to
-the REVCUBE_SEED environment variable, then 0; either is plain decimal
-digits.
+3 internal verification failure, 141 stdout closed by its reader.  Seeds
+come from --seed, falling back to the REVCUBE_SEED environment variable,
+then 0; either is plain decimal digits.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ EXIT_OK = 0
 EXIT_UNSOLVABLE = 1
 EXIT_BAD_INPUT = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _fail(message: str) -> NoReturn:
@@ -309,7 +310,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # reader gone: keep the flush at exit quiet, exit as a SIGPIPE kill would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

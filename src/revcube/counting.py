@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import cube, oracle
@@ -119,6 +117,9 @@ def estimate_probability(
     Deterministic given (mode, n, seed); the worker count only schedules
     streams.  The standard error is sqrt(p(1-p)/n) at the estimate.
     """
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor  # only Monte Carlo pays for it
+
     cube._check_mode(mode)
     if n < 1:
         raise ValueError("need at least one sample")

@@ -102,21 +102,8 @@ def identity_state() -> CubeState:
     )
 
 
-class Move(enum.Enum):
-    """The twelve slab quarter-turns, outer faces and inner slices."""
-
-    B = "B"
-    MB = "MB"
-    MF = "MF"
-    F = "F"
-    L = "L"
-    ML = "ML"
-    MR = "MR"
-    R = "R"
-    D = "D"
-    MD = "MD"
-    MU = "MU"
-    U = "U"
+Move = enum.Enum("Move", [(n, n) for n in geometry.MOVE_SLABS], module=__name__)
+Move.__doc__ = "The twelve slab quarter-turns, outer faces and inner slices."
 
 
 @cache
@@ -273,26 +260,7 @@ def representative(cls: StateClass) -> CubeState:
 
 
 # ---------------------------------------------------------------------------
-# relabeling generators and random sampling
-
-
-def relabeling_generators() -> tuple[CubeState, ...]:
-    """Generators of the relabeling group: one pair swap with both bits
-    flipped per edge pair, a 4-cycle and a transposition per center block."""
-    ident = identity_state()
-    gens = []
-    for k in range(NUM_EDGE_PAIRS):
-        bits = [0] * NUM_EDGES
-        bits[2 * k] = bits[2 * k + 1] = 1
-        swap = pm.transposition(NUM_EDGES, 2 * k, 2 * k + 1)
-        edges = WreathElem(2, tuple(bits), swap)
-        gens.append(CubeState(edges, ident.corners, ident.centers))
-    for k in range(NUM_CENTER_BLOCKS):
-        base = 4 * k
-        for cyc in ((base, base + 1, base + 2, base + 3), (base, base + 1)):
-            centers = pm.from_cycles(NUM_CENTERS, [cyc])
-            gens.append(CubeState(ident.edges, ident.corners, centers))
-    return tuple(gens)
+# random sampling
 
 
 def random_assembly(rng: np.random.Generator, mode: str = "marked") -> CubeState:
@@ -397,7 +365,10 @@ def parse_state(text: str) -> CubeState:
         bound = modulus or count
         for pos, tok in enumerate(tokens, start=1):
             if (v := _natural(tok)) is None:
-                raise StateFileError(lineno, pos, f"not an integer: {tok!r}")
+                shown = repr(tok)
+                if len(tok) > 20:  # a prefix and the length, not the whole token
+                    shown = f"{tok[:20] + '...'!r} ({len(tok)} characters)"
+                raise StateFileError(lineno, pos, f"not an integer: {shown}")
             if v >= bound:
                 msg = f"value {v} out of range 0..{bound - 1}"
                 raise StateFileError(lineno, pos, msg)

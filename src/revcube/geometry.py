@@ -176,20 +176,21 @@ CENTER_STICKERS: tuple[Vec, ...] = tuple(
 )
 
 # slab of every move: (axis, layer); layer 3 is the outer face the move is
-# named after, 1 and -1 the inner slabs, -3 the opposite outer face
+# named after, 1 and -1 the inner slabs, -3 the opposite outer face.  The
+# order is cube.Move's, which fixes the generator order and seeded words.
 MOVE_SLABS: dict[str, tuple[int, int]] = {
-    "R": (0, 3),
-    "MR": (0, 1),
-    "ML": (0, -1),
-    "L": (0, -3),
-    "U": (1, 3),
-    "MU": (1, 1),
-    "MD": (1, -1),
-    "D": (1, -3),
-    "F": (2, 3),
-    "MF": (2, 1),
-    "MB": (2, -1),
     "B": (2, -3),
+    "MB": (2, -1),
+    "MF": (2, 1),
+    "F": (2, 3),
+    "L": (0, -3),
+    "ML": (0, -1),
+    "MR": (0, 1),
+    "R": (0, 3),
+    "D": (1, -3),
+    "MD": (1, -1),
+    "MU": (1, 1),
+    "U": (1, 3),
 }
 
 

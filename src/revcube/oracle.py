@@ -34,19 +34,11 @@ MiniElem = tuple[
 
 
 def _perm_sign(p: Sequence[int]) -> int:
-    seen = [False] * len(p)
-    parity = 0
-    for s in range(len(p)):
-        if seen[s]:
-            continue
-        length = 0
-        i = s
-        while not seen[i]:
-            seen[i] = True
-            i = p[i]
-            length += 1
-        parity ^= (length - 1) & 1
-    return -1 if parity else 1
+    """Sign as the parity of the inversion count, so that it shares no
+    algorithm with perm.sign, which walks cycles."""
+    n = len(p)
+    inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+    return -1 if inversions & 1 else 1
 
 
 def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -231,6 +232,9 @@ def test_long_token_is_a_positioned_error(tmp_path):
     r = run_cli("solvable", str(f))
     assert_bad_input(r)
     assert r.stderr.startswith(f"error: {f}: line 1, token 1: ")
+    # the token is shown as a prefix and its length, not echoed whole
+    line = r.stderr.splitlines()[0].replace(str(f), "")
+    assert len(line) < 120 and "5000" in line
 
 
 def test_invariant_canonical_round_trip(tmp_path):
@@ -309,10 +313,22 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["solvable", {str(state)!r}], ["invariant", {str(state)!r}],
                  ["canonical", "201000200000:2"]):
         cli.main(argv)
-    exact = "numpy" in sys.modules
+    exact = "numpy" in sys.modules, "concurrent.futures" in sys.modules
     cli.main(["random-assembly", "--seed", "3"])
-print(exact, "numpy" in sys.modules)
+print(*exact, "numpy" in sys.modules)
 """
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["False", "True"]
+    assert r.stdout.split() == ["False", "False", "True"]
+
+
+def test_closed_stdout_exits_141_quietly():
+    # a reader that is gone before the first write: exit as a SIGPIPE kill
+    # (128 + 13), not 1 ("unsolvable"), and no traceback
+    for argv in (["count"], ["verify", "--level", "quick"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        cmd = [sys.executable, "-m", "revcube", *argv]
+        r = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        os.close(write_end)
+        assert (r.returncode, r.stderr) == (141, ""), argv

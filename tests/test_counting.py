@@ -136,6 +136,7 @@ def test_estimate_streams_in_flight_bounded(monkeypatch):
     # STREAMS_PER_THREAD per thread submitted and unfinished
     import os
     import time
+    from concurrent.futures import ThreadPoolExecutor
 
     workers = 2
     window = counting.STREAMS_PER_THREAD * min(workers, os.cpu_count() or 1)
@@ -146,7 +147,7 @@ def test_estimate_streams_in_flight_bounded(monkeypatch):
         finished.append(index)
         return index % 2
 
-    submit = counting.ThreadPoolExecutor.submit
+    submit = ThreadPoolExecutor.submit
 
     def spy(self, fn, *args):
         submitted.append(args)
@@ -154,7 +155,7 @@ def test_estimate_streams_in_flight_bounded(monkeypatch):
         return submit(self, fn, *args)
 
     monkeypatch.setattr(counting, "_stream_hits", stub)
-    monkeypatch.setattr(counting.ThreadPoolExecutor, "submit", spy)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
     n = 100 * counting.STREAM_SIZE
     est, _ = counting.estimate_probability("mechanical", n, seed=1, workers=workers)
     assert len(submitted) == 100

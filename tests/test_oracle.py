@@ -1,8 +1,19 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from revcube import cube, oracle
+from revcube import cube, oracle, perm
+
+
+def test_oracle_sign_agrees_with_cycle_sign():
+    # inversion parity against the main path's cycle walk, degrees 0-6
+    checked = 0
+    for n in range(7):
+        for p in itertools.permutations(range(n)):
+            assert oracle._perm_sign(p) == perm.sign(p), p
+            checked += 1
+    assert checked == 874
 
 
 def test_pair_flip_orbits():
