@@ -177,14 +177,15 @@ class MiniModel:
         """The licit subgroup by filtering the flip-free enumeration."""
         out = []
         zero = (0,) * self.edge_n
+        corners = [(c, _perm_sign(c)) for c in itertools.permutations(range(self.corners))]
+        centers = [(z, _perm_sign(z)) for z in itertools.permutations(range(self.center_n))]
         for ep in itertools.permutations(range(self.edge_n)):
-            for cp in itertools.permutations(range(self.corners)):
-                scp = _perm_sign(cp)
+            for cp, scp in corners:
                 for ct in itertools.product((0, 1, 2), repeat=self.corners):
                     if sum(ct) % 3 != 0:
                         continue
-                    for zp in itertools.permutations(range(self.center_n)):
-                        if _perm_sign(zp) == scp:
+                    for zp, szp in centers:
+                        if szp == scp:
                             out.append((zero, ep, ct, cp, zp))
         return out
 

@@ -13,6 +13,10 @@ extended incrementally so that a coset representative, once chosen, never
 changes.  That last property lets each Schreier generator be processed
 exactly once (they are in bijection with (orbit point, generator) pairs).
 
+Inside a StrongGenSet every permutation is a 256-byte `bytes` image table,
+padded with the identity above the degree (so degree <= 256): compose(p, q)
+is q.translate(p), and bytes.maketrans(v, identity) is the inverse of v.
+
 The 96-point representation of cube assemblies lives here too: edge sticker
 points 0..47, corner sticker points 48..71, center points 72..95.  It is a
 faithful homomorphism, so subgroup questions transfer verbatim.
@@ -45,12 +49,14 @@ class StrongGenSet:
     """Base, strong generators and transversals of a permutation group."""
 
     def __init__(self, degree: int):
+        if degree > 256:
+            raise ValueError(f"degree {degree} exceeds 256")
         self.degree = degree
         self.base: list[int] = []
-        self.gens: list[list[Perm]] = []
-        self.transversal: list[dict[int, Perm]] = []
-        self.inv_transversal: list[dict[int, Perm]] = []
-        self._identity = pm.identity(degree)
+        self.gens: list[list[bytes]] = []
+        self.transversal: list[dict[int, bytes]] = []
+        self.inv_transversal: list[dict[int, bytes]] = []
+        self._identity = bytes(range(256))
         self._done: list[tuple[int, int]] = []
 
     # -- queries ------------------------------------------------------------
@@ -59,7 +65,10 @@ class StrongGenSet:
         """Product of the orbit sizes along the stabilizer chain."""
         return math.prod(len(t) for t in self.transversal)
 
-    def _sift(self, p: Perm, start: int = 0) -> Perm:
+    def _table(self, p: Perm) -> bytes:
+        return bytes(p) + self._identity[len(p) :]
+
+    def _sift(self, p: bytes, start: int = 0) -> bytes:
         """Divide off coset representatives level by level and return the
         residue: the identity exactly for members of the group (of the
         start-th stabilizer when start>0)."""
@@ -68,14 +77,14 @@ class StrongGenSet:
             ui = self.inv_transversal[lev].get(x)
             if ui is None:
                 return p
-            p = pm.compose(ui, p)
+            p = p.translate(ui)
         return p
 
     def contains(self, p: Perm) -> bool:
         p = pm.check_perm(p)
         if len(p) != self.degree:
             raise ValueError(f"degree mismatch: {len(p)} vs {self.degree}")
-        return self._sift(p) == self._identity
+        return self._sift(self._table(p)) == self._identity
 
     # -- construction ---------------------------------------------------------
 
@@ -86,7 +95,7 @@ class StrongGenSet:
         self.inv_transversal.append({point: self._identity})
         self._done.append((0, 0))
 
-    def _register(self, g: Perm, min_level: int) -> int:
+    def _register(self, g: bytes, min_level: int) -> int:
         """Add a strong generator at levels min_level..j, where j is the
         deepest level whose base prefix g fixes; extend the base when g
         fixes every current base point.  Returns j."""
@@ -109,9 +118,9 @@ class StrongGenSet:
             for g in self.gens[lev]:
                 q = g[pt]
                 if q not in t:
-                    v = pm.compose(g, t[pt])
+                    v = t[pt].translate(g)
                     t[q] = v
-                    ti[q] = pm.inverse(v)
+                    ti[q] = bytes.maketrans(v, self._identity)
                     orbit.append(q)
 
     def _complete_level(self, lev: int) -> None:
@@ -127,7 +136,7 @@ class StrongGenSet:
         old_points, old_gens = self._done[lev]
         for n, (pt, u) in enumerate(self.transversal[lev].items()):
             for g in gens[old_gens if n < old_points else 0 :]:
-                sg = pm.compose(ti[g[pt]], pm.compose(g, u))
+                sg = u.translate(g).translate(ti[g[pt]])
                 if sg == self._identity:
                     continue
                 residue = self._sift(sg, lev + 1)
@@ -148,7 +157,7 @@ class StrongGenSet:
             for pt, u in self.transversal[lev].items():
                 if u[self.base[lev]] != pt:
                     raise AssertionError(f"representative for {pt} is wrong")
-                if pm.compose(self.inv_transversal[lev][pt], u) != self._identity:
+                if u.translate(self.inv_transversal[lev][pt]) != self._identity:
                     raise AssertionError(f"inverse representative for {pt} is wrong")
 
 
@@ -164,7 +173,7 @@ def build_bsgs(generators: Iterable[Sequence[int]]) -> StrongGenSet:
     if len(degrees) != 1:
         raise ValueError(f"mixed degrees {sorted(degrees)}")
     sgs = StrongGenSet(degrees.pop())
-    for g in gens:
+    for g in map(sgs._table, gens):
         if g != sgs._identity:
             sgs._register(g, 0)
     for lev in range(len(sgs.base) - 1, -1, -1):

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,36 @@ def test_against_library_groups(make_rng):
         assert ours == theirs
 
 
+def _closure(gens, n):
+    """Every element of the group the generators span, by breadth-first
+    search over right multiplication with the generators."""
+    seen = {perm.identity(n)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [perm.compose(p, g) for p in frontier for g in gens]
+        frontier = [p for p in frontier if p not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def test_contains_agrees_with_closure(make_rng):
+    rng = make_rng(607)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        gens = [perm.random_perm(n, rng) for _ in range(int(rng.integers(1, 3)))]
+        s = sims.build_bsgs(gens)
+        group = _closure(gens, n)
+        assert s.order() == len(group)
+        for p in itertools.permutations(range(n)):
+            assert s.contains(p) == (p in group)
+
+
+def test_degree_limit():
+    assert bsgs_order([tuple(range(1, 256)) + (0,)]) == 256
+    with pytest.raises(ValueError, match="exceeds 256"):
+        sims.build_bsgs([tuple(range(1, 257)) + (0,)])
+
+
 def test_check_structure_small(make_rng):
     rng = make_rng(603)
     gens = [perm.random_perm(8, rng) for _ in range(3)]
@@ -103,6 +136,22 @@ def test_embed_faithful_on_fibres():
 
 def test_slice_group_order(slice_group):
     assert slice_group.order() == counting.num_licit()
+
+
+def test_slice_group_tables_pinned(slice_group):
+    """Base, strong generators and both transversals, each table cut to the
+    96 points, hash to the value the tuple implementation produced."""
+    def cut(p):
+        return tuple(p[: sims.DEGREE])
+
+    tables = (
+        slice_group.base,
+        [[cut(g) for g in gens] for gens in slice_group.gens],
+        [[(pt, cut(u)) for pt, u in t.items()] for t in slice_group.transversal],
+        [[(pt, cut(u)) for pt, u in t.items()] for t in slice_group.inv_transversal],
+    )
+    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert digest == "9e32ff4afb0aeeef72ddde2b106905da9ac1a190a6d1190fe0ef0bcb500e813d"
 
 
 def test_slice_group_structure(slice_group):
