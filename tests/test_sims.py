@@ -140,7 +140,8 @@ def test_slice_group_order(slice_group):
 
 def test_slice_group_tables_pinned(slice_group):
     """Base, strong generators and both transversals, each table cut to the
-    96 points, hash to the value the tuple implementation produced."""
+    96 points, are pinned by their sha256: a change to the base, to the
+    order generators are found in or to any chosen representative shows."""
     def cut(p):
         return tuple(p[: sims.DEGREE])
 
