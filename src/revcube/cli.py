@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable, NoReturn
+from typing import Callable, Iterable, NoReturn
 
 from . import counting, cube, geometry, oracle, sims, wreath
 
@@ -129,6 +129,15 @@ def _cmd_random_assembly(args: argparse.Namespace) -> int:
 # self checks
 
 
+def _check_row(name: str, check: Callable[[], None]) -> tuple[str, bool, str]:
+    """A verify row for a check that raises AssertionError on failure."""
+    try:
+        check()
+    except AssertionError as e:
+        return name, False, str(e)  # the message is the row's detail
+    return name, True, ""
+
+
 def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
     for name, ok, detail in geometry.validate_geometry():
         yield f"geometry: {name}", ok, detail
@@ -190,12 +199,8 @@ def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
 
     # closed forms for p edge pairs: 3^(p+1) classes, 3 flip-free, probability 1/(3*2^p)
     model = oracle.MiniModel(2, 2, 1) if level == "full" else oracle.MiniModel(1, 1, 1)
-    try:
-        model.check_subgroup_constructions()
-        ok, detail = True, ""
-    except AssertionError as e:
-        ok, detail = False, str(e)
-    yield f"mini model {model.pairs}/{model.corners}/{model.blocks} subgroups", ok, detail
+    name = f"mini model {model.pairs}/{model.corners}/{model.blocks} subgroups"
+    yield _check_row(name, model.check_subgroup_constructions)
     want = 3 ** (model.pairs + 1)
     got = model.class_count()
     yield f"mini class count = {want}", got == want, f"got {got}"
@@ -222,6 +227,7 @@ def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
             sgs.order() == want_order,
             f"got {sgs.order()}",
         )
+        yield _check_row("strong generating set is consistent", sgs.check_structure)
         ok = True
         for _ in range(1000):
             t = cube.random_assembly(rng, "mechanical")
@@ -297,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--level",
         choices=("quick", "full"),
         default="full",
-        help="full adds the strong-generating-set rebuild (default: full)",
+        help="full uses the 2/2/1 mini model and adds the strong generating "
+        "set's order, structure check and sifting rows (default: full)",
     )
     p.set_defaults(func=_cmd_verify)
 

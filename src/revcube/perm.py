@@ -11,7 +11,7 @@ Generator, so a fixed seed reproduces the same permutation.
 from __future__ import annotations
 
 from numbers import Integral
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,33 +88,6 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
             i = p[i]
         out.append(tuple(cyc))
     return out
-
-
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Sorted lengths of the nontrivial cycles, longest first."""
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
-
-
-def from_cycles(n: int, cyclist: Iterable[Sequence[int]]) -> Perm:
-    """Build a degree-n permutation from disjoint cycles.
-
-    >>> from_cycles(4, [(0, 1, 2)])
-    (1, 2, 0, 3)
-    """
-    out = list(range(n))
-    touched = set()
-    for cyc in cyclist:
-        for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
-            if a in touched:
-                raise ValueError(f"cycles not disjoint at {a}")
-            touched.add(a)
-            out[a] = b
-    return check_perm(out)
-
-
-def transposition(n: int, a: int, b: int) -> Perm:
-    """The degree-n transposition swapping a and b."""
-    return from_cycles(n, [(a, b)])
 
 
 def sign(p: Perm) -> int:

@@ -6,8 +6,8 @@ stores the twist at the destination slot, which gives the composition law
 
     (r, s) * (t, u) == (r + s.t, s u)      with (s.t)[s(i)] == t[i],
 
-the inverse (-(s^-1).r, s^-1), and the left action (r, s).c == r + s.c on
-twist vectors c.  Only k == 2 (flips) and k == 3 (thirds of a turn) occur.
+and the inverse (-(s^-1).r, s^-1).  Only k == 2 (flips) and k == 3 (thirds
+of a turn) occur.
 
 The constructor validates its input; products and inverses of valid
 elements are valid by the group law and are built without re-checking.
@@ -74,15 +74,6 @@ class WreathElem:
         # (s^-1 . r)[j] == r[s(j)], negated mod k
         tw = tuple((-self.twists[self.perm[j]]) % self.k for j in range(self.degree))
         return _trusted(WreathElem, k=self.k, twists=tw, perm=inv)
-
-    def act(self, vector: tuple[int, ...]) -> tuple[int, ...]:
-        """Left action on a twist vector: permute entries, then add twists."""
-        if len(vector) != self.degree:
-            raise ValueError(f"degree mismatch: {len(vector)} vs {self.degree}")
-        out = [0] * self.degree
-        for i, j in enumerate(self.perm):
-            out[j] = (self.twists[j] + vector[i]) % self.k
-        return tuple(out)
 
     def twist_sum(self) -> int:
         """Total twist mod k.  A homomorphism to C_k: the permutation part

@@ -5,7 +5,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
-from revcube import cli, cube
+from revcube import cli, cube, oracle, sims
 
 
 def run_cli(*args):
@@ -291,9 +291,23 @@ def test_verify_full():
     lines = r.stdout.splitlines()
     assert all(l.startswith("ok: ") for l in lines[:-1])
     assert lines[-1] == "all checks passed"
-    assert len(lines) == 54
+    assert len(lines) == 55
     assert "ok: mini class count = 27" in lines
     assert "ok: slice-move group order matches the closed formula" in lines
+    assert "ok: strong generating set is consistent" in lines
+
+
+def test_verify_full_runs_the_structure_check(monkeypatch):
+    def broken(self):
+        raise AssertionError("x")
+
+    monkeypatch.setattr(sims.StrongGenSet, "check_structure", broken)
+    small = oracle.MiniModel  # the 1/1/1 model: this test is about the sims rows
+    monkeypatch.setattr(oracle, "MiniModel", lambda *shape: small(1, 1, 1))
+    r = run_cli("verify")
+    assert r.returncode == 3
+    assert "FAIL: strong generating set is consistent (x)" in r.stdout
+    assert r.stdout.endswith("1 check(s) failed\n")
 
 
 def test_unknown_command():

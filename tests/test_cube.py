@@ -49,9 +49,9 @@ def test_generator_postconditions(move):
 
 def test_outer_face_cycle_structure():
     g = cube.generator(cube.Move.U)
-    assert perm.cycle_type(g.corners.perm) == (4,)
-    assert perm.cycle_type(g.centers) == (4,)
-    assert perm.cycle_type(g.edges.perm) == (4, 4)
+    assert sorted(map(len, perm.cycles(g.corners.perm)), reverse=True) == [4]
+    assert sorted(map(len, perm.cycles(g.centers)), reverse=True) == [4]
+    assert sorted(map(len, perm.cycles(g.edges.perm)), reverse=True) == [4, 4]
     assert perm.sign(g.corners.perm) == -1
     assert perm.sign(g.centers) == -1
 
@@ -60,8 +60,8 @@ def test_inner_slice_cycle_structure():
     g = cube.generator(cube.Move.MU)
     assert g.corners.perm == perm.identity(8)
     assert g.corners.twists == (0,) * 8
-    assert perm.cycle_type(g.centers) == (4, 4)
-    assert perm.cycle_type(g.edges.perm) == (4,)
+    assert sorted(map(len, perm.cycles(g.centers)), reverse=True) == [4, 4]
+    assert sorted(map(len, perm.cycles(g.edges.perm)), reverse=True) == [4]
 
 
 def test_opposite_slices_commute():
@@ -129,7 +129,7 @@ def test_pair_flip_state_factors_through_relabeling():
     assert not cube.preserves_marking(t)
     assert cube.is_solvable(t)
     # the pair-0 swap carries the double flip, so it is never flip-free
-    swap = WreathElem(2, flips, perm.transposition(24, 0, 1))
+    swap = WreathElem(2, flips, (1, 0) + tuple(range(2, 24)))
     i = cube.CubeState(swap, IDENT.corners, IDENT.centers)
     assert cube.is_relabeling(i)
     assert not cube.preserves_marking(i)

@@ -13,9 +13,9 @@ def bsgs_order(gens):
 
 
 def test_symmetric_and_alternating_small():
-    s4 = [perm.transposition(4, 0, 1), (1, 2, 3, 0)]
+    s4 = [(1, 0, 2, 3), (1, 2, 3, 0)]
     assert bsgs_order(s4) == 24
-    a4 = [perm.from_cycles(4, [(0, 1, 2)]), perm.from_cycles(4, [(1, 2, 3)])]
+    a4 = [(1, 2, 0, 3), (0, 2, 3, 1)]  # the 3-cycles (0 1 2) and (1 2 3)
     assert bsgs_order(a4) == 12
 
 
@@ -35,9 +35,9 @@ def test_dihedral():
 
 
 def test_membership_small():
-    s = sims.build_bsgs([perm.from_cycles(4, [(0, 1, 2)]), perm.from_cycles(4, [(1, 2, 3)])])
-    assert s.contains(perm.from_cycles(4, [(0, 2, 1)]))
-    assert not s.contains(perm.transposition(4, 0, 1))
+    s = sims.build_bsgs([(1, 2, 0, 3), (0, 2, 3, 1)])  # A4
+    assert s.contains((2, 0, 1, 3))  # the 3-cycle (0 2 1)
+    assert not s.contains((1, 0, 2, 3))
     assert s.contains(perm.identity(4))
     # any integer sequence is read as a permutation, a list or an array too
     trivial = sims.build_bsgs([(0, 1, 2)])
@@ -106,6 +106,27 @@ def test_check_structure_small(make_rng):
     s = sims.build_bsgs(gens)
     s.check_structure()
     assert all(s.contains(g) for g in gens)
+
+
+def test_check_structure_catches_corruption():
+    def s4():
+        s = sims.build_bsgs([(1, 0, 2, 3), (1, 2, 3, 0)])
+        s.check_structure()
+        pt = next(x for x in s.transversal[0] if x != s.base[0])
+        return s, pt
+
+    s, pt = s4()
+    s.inv_transversal[0][pt] = s._identity
+    with pytest.raises(AssertionError, match=f"inverse representative for {pt}"):
+        s.check_structure()
+    s, pt = s4()
+    s.transversal[0][pt] = s._identity
+    with pytest.raises(AssertionError, match=f"^representative for {pt}"):
+        s.check_structure()
+    s, _ = s4()
+    s.gens[1].append(next(g for g in s.gens[0] if g[s.base[0]] != s.base[0]))
+    with pytest.raises(AssertionError, match="level 1 generator moves base"):
+        s.check_structure()
 
 
 def test_embed_is_homomorphism(make_rng):
@@ -190,7 +211,7 @@ def test_slice_group_excludes_single_twist(slice_group):
     assert not slice_group.contains(sims.embed(twist))
     swap = cube.CubeState(
         ident.edges,
-        WreathElem(3, (0,) * 8, perm.transposition(8, 0, 1)),
+        WreathElem(3, (0,) * 8, (1, 0) + tuple(range(2, 8))),
         ident.centers,
     )
     # odd corner permutation with even centers fails the sign condition
