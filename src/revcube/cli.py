@@ -217,7 +217,6 @@ def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
     yield f"mini solvable probability = {want}", got_p == want, f"got {got_p}"
     got_p = model.solvable_probability(flip_free=True)
     yield f"mini flip-free probability = 1/3", got_p == Fraction(1, 3), f"got {got_p}"
-    del model  # its coset table is not held through the strong generating set build
 
     if level == "full":
         sgs = sims.build_bsgs([sims.embed(g) for g in cube.all_generators()])

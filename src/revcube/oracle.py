@@ -2,16 +2,16 @@
 
 The closed-form solvability predicate and the class counts are cheap to
 state and easy to get subtly wrong, so this module recomputes them by
-exhaustive enumeration on shrunken cubes: m edge pairs, c corners, b center
+exhaustive search on shrunken cubes: m edge pairs, c corners, b center
 blocks.  The group shape is the same (flip wreath x twist wreath x block
-permutations), only the sizes differ, so any bookkeeping mistake in the
-closed forms shows up here as a disagreement on a few hundred thousand
-elements.
+permutations), only the sizes differ.  Every element has a rank, and the
+answers read the connected components of the ranks under the relabeling
+and licit generators, which are the double classes.
 
-Everything in this file is deliberately self-contained: its own element
-encoding, its own multiplication, subgroups built both by filtering the full
-enumeration and by generator closure (asserted equal).  The only import from
-the main path is the closed-form predicate it is checking.
+Everything here is deliberately self-contained: its own element encoding
+and multiplication, and subgroups built by filtering, by predicate and by
+generator closure (asserted equal).  The only import from the main path is
+the closed-form predicate it is checking.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from . import cube
 ENUMERATION_CAP = 10**7
 
 # element encoding: (edge bits, edge perm, corner twists, corner perm, center perm)
-MiniElem = tuple[
-    tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]
-]
+MiniElem = tuple[tuple[int, ...], ...]
 
 
 def _perm_sign(p: Sequence[int]) -> int:
@@ -50,6 +48,14 @@ def _wmul(k, atw, ap, btw, bp):
     for i, j in enumerate(ap):
         tw[j] = (atw[j] + btw[i]) % k
     return tuple(tw), _compose(ap, bp)
+
+
+def _cycle(n: int, *points: int) -> tuple[int, ...]:
+    """The permutation of range(n) taking each of points to the next, cyclically."""
+    p = list(range(n))
+    for x, y in zip(points, points[1:] + points[:1]):
+        p[x] = y
+    return tuple(p)
 
 
 def mini_mul(a: MiniElem, b: MiniElem) -> MiniElem:
@@ -81,13 +87,8 @@ class MiniModel:
         return 4 * self.blocks
 
     def size(self) -> int:
-        return (
-            2**self.edge_n
-            * math.factorial(self.edge_n)
-            * 3**self.corners
-            * math.factorial(self.corners)
-            * math.factorial(self.center_n)
-        )
+        e, c, z = self.edge_n, self.corners, self.center_n
+        return 2**e * math.factorial(e) * 3**c * math.factorial(c) * math.factorial(z)
 
     def identity(self) -> MiniElem:
         return (
@@ -99,14 +100,9 @@ class MiniModel:
         )
 
     def elements(self) -> Iterator[MiniElem]:
-        """Every element of the full mini group, lazily."""
-        flips = list(itertools.product((0, 1), repeat=self.edge_n))
-        for ep in itertools.permutations(range(self.edge_n)):
-            for eb in flips:
-                for cp in itertools.permutations(range(self.corners)):
-                    for ct in itertools.product((0, 1, 2), repeat=self.corners):
-                        for zp in itertools.permutations(range(self.center_n)):
-                            yield (eb, ep, ct, cp, zp)
+        """Every element of the full mini group, lazily, in rank order."""
+        for (eb, ep), (ct, cp), zp in itertools.product(*self._axes()):
+            yield (eb, ep, ct, cp, zp)
 
     # -- defining conditions ------------------------------------------------
 
@@ -126,13 +122,9 @@ class MiniModel:
             return False
         for k in range(self.pairs):
             a, b = 2 * k, 2 * k + 1
-            if ep[a] == a and ep[b] == b:
-                if eb[a] or eb[b]:
-                    return False
-            elif ep[a] == b and ep[b] == a:
-                if not (eb[a] and eb[b]):
-                    return False
-            else:
+            fixed = ep[a] == a and ep[b] == b and not (eb[a] or eb[b])
+            swapped = ep[a] == b and ep[b] == a and eb[a] and eb[b]
+            if not (fixed or swapped):
                 return False
         for k in range(self.blocks):
             block = range(4 * k, 4 * k + 4)
@@ -145,11 +137,11 @@ class MiniModel:
     def relabelings(self) -> list[MiniElem]:
         """The relabeling subgroup, enumerated constructively: per edge pair
         fix-or-swap, per block any of the 24 placements."""
-        pair_choices = []
-        for k in range(self.pairs):
-            fix = ((0, 0), (2 * k, 2 * k + 1))
-            swap = ((1, 1), (2 * k + 1, 2 * k))
-            pair_choices.append((fix, swap))
+        pair_choices = [
+            (((0, 0), (2 * k, 2 * k + 1)), ((1, 1), (2 * k + 1, 2 * k)))  # fix, swap
+            for k in range(self.pairs)
+        ]
+        e = self.identity()
         out = []
         for picks in itertools.product(*pair_choices):
             eb, ep = [], []
@@ -162,131 +154,128 @@ class MiniModel:
                 zp = []
                 for k, blk in enumerate(blocks):
                     zp.extend(4 * k + x for x in blk)
-                out.append(
-                    (
-                        tuple(eb),
-                        tuple(ep),
-                        (0,) * self.corners,
-                        tuple(range(self.corners)),
-                        tuple(zp),
-                    )
-                )
+                out.append((tuple(eb), tuple(ep), e[2], e[3], tuple(zp)))
         return out
 
     def licit_elements(self) -> list[MiniElem]:
         """The licit subgroup by filtering the flip-free enumeration."""
-        out = []
         zero = (0,) * self.edge_n
         corners = [(c, _perm_sign(c)) for c in itertools.permutations(range(self.corners))]
         centers = [(z, _perm_sign(z)) for z in itertools.permutations(range(self.center_n))]
-        for ep in itertools.permutations(range(self.edge_n)):
-            for cp, scp in corners:
-                for ct in itertools.product((0, 1, 2), repeat=self.corners):
-                    if sum(ct) % 3 != 0:
-                        continue
-                    for zp, szp in centers:
-                        if szp == scp:
-                            out.append((zero, ep, ct, cp, zp))
-        return out
+        return [
+            (zero, ep, ct, cp, zp)
+            for ep in itertools.permutations(range(self.edge_n))
+            for cp, scp in corners
+            for ct in itertools.product((0, 1, 2), repeat=self.corners)
+            if sum(ct) % 3 == 0
+            for zp, szp in centers
+            if szp == scp
+        ]
 
     def relabeling_generators(self) -> list[MiniElem]:
-        gens = []
-        e = self.identity()
-        for k in range(self.pairs):
-            eb = list(e[0])
-            ep = list(e[1])
-            eb[2 * k] = eb[2 * k + 1] = 1
-            ep[2 * k], ep[2 * k + 1] = 2 * k + 1, 2 * k
-            gens.append((tuple(eb), tuple(ep), e[2], e[3], e[4]))
-        for k in range(self.blocks):
-            for imgs in ((1, 2, 3, 0), (1, 0, 2, 3)):
-                zp = list(e[4])
-                for i, x in enumerate(imgs):
-                    zp[4 * k + i] = 4 * k + x
-                gens.append((e[0], e[1], e[2], e[3], tuple(zp)))
+        e, n, z = self.identity(), self.edge_n, self.center_n
+        gens = [
+            (tuple(int(i // 2 == k) for i in range(n)), _cycle(n, 2 * k, 2 * k + 1), *e[2:])
+            for k in range(self.pairs)
+        ]
+        for k in range(0, z, 4):
+            gens += [(*e[:4], _cycle(z, k, k + 1, k + 2, k + 3)), (*e[:4], _cycle(z, k, k + 1))]
         return gens
 
     def licit_generators(self) -> list[MiniElem]:
-        gens = []
-        e = self.identity()
-        for i in range(self.edge_n - 1):
-            ep = list(e[1])
-            ep[i], ep[i + 1] = ep[i + 1], ep[i]
-            gens.append((e[0], tuple(ep), e[2], e[3], e[4]))
-        for i in range(self.corners - 1):
+        e, n, c, z = self.identity(), self.edge_n, self.corners, self.center_n
+        gens = [(e[0], _cycle(n, i, i + 1), *e[2:]) for i in range(n - 1)]
+        for i in range(c - 1):
             ct = list(e[2])
             ct[i], ct[i + 1] = 1, 2
             gens.append((e[0], e[1], tuple(ct), e[3], e[4]))
-        if self.corners >= 2:
-            cp = list(e[3])
-            cp[0], cp[1] = 1, 0
-            zp = list(e[4])
-            zp[0], zp[1] = 1, 0
-            gens.append((e[0], e[1], e[2], tuple(cp), tuple(zp)))
-            for i in range(self.corners - 2):
-                cp = list(e[3])
-                cp[i], cp[i + 1], cp[i + 2] = cp[i + 1], cp[i + 2], cp[i]
-                gens.append((e[0], e[1], e[2], tuple(cp), e[4]))
-        for i in range(self.center_n - 2):
-            zp = list(e[4])
-            zp[i], zp[i + 1], zp[i + 2] = zp[i + 1], zp[i + 2], zp[i]
-            gens.append((e[0], e[1], e[2], e[3], tuple(zp)))
+        if c >= 2:
+            gens.append((*e[:3], _cycle(c, 0, 1), _cycle(z, 0, 1)))
+            gens += [(*e[:3], _cycle(c, i, i + 1, i + 2), e[4]) for i in range(c - 2)]
+        gens += [(*e[:4], _cycle(z, i, i + 1, i + 2)) for i in range(z - 2)]
         return gens
 
     # -- exhaustive answers ---------------------------------------------------
 
+    def _axes(self) -> tuple[list, list, list]:
+        """Values of the three rank axes: (edge bits, edge perm), (corner
+        twists, corner perm), center perm.  An element's rank is mixed radix
+        over them, bits and twists the faster digit of their axis."""
+        flips = list(itertools.product((0, 1), repeat=self.edge_n))
+        twists = list(itertools.product((0, 1, 2), repeat=self.corners))
+        return (
+            [(eb, ep) for ep in itertools.permutations(range(self.edge_n)) for eb in flips],
+            [(ct, cp) for cp in itertools.permutations(range(self.corners)) for ct in twists],
+            list(itertools.permutations(range(self.center_n))),
+        )
+
+    def _image_tables(self, gens: Sequence[tuple[MiniElem, bool]]) -> list[list]:
+        """Per (g, left) and per axis, the index of each value's product with
+        g's component, g*t with left and t*g without: the product is
+        componentwise, so the three tables map every rank to its image."""
+        import numpy as np
+
+        axes = self._axes()
+        indexes = [{v: i for i, v in enumerate(values)} for values in axes]
+        muls = (lambda a, b: _wmul(2, *a, *b), lambda a, b: _wmul(3, *a, *b), _compose)
+
+        def table(mul, x, values, index, left):
+            if x == values[0]:  # the identity component
+                return np.arange(len(values))
+            return np.array([index[mul(x, v) if left else mul(v, x)] for v in values])
+
+        return [
+            [table(*axis, left) for axis in zip(muls, (g[:2], g[2:4], g[4]), axes, indexes)]
+            for g, left in gens
+        ]
+
     @cached_property
-    def _cosets(self) -> tuple[dict[MiniElem, int], list[MiniElem]]:
-        """Left cosets t*L in one pass over elements(): element -> coset index,
-        one representative per coset.  Valid because L = licit_elements() is a
-        subgroup, which check_subgroup_constructions asserts."""
-        licit = self.licit_elements()
-        coset: dict[MiniElem, int] = {}
-        reps: list[MiniElem] = []
-        for t in self.elements():
-            if t not in coset:
-                for l in licit:
-                    coset[mini_mul(t, l)] = len(reps)
-                reps.append(t)
-        return coset, reps
+    def _components(self) -> tuple:
+        """Component labels of G, then of its flip-free part, under left
+        products with the relabeling generators and right products with the
+        licit generators: the double classes I\\G/L.  A label is its
+        component's least rank, so I*L, the solvable set, is label 0."""
+        import numpy as np
 
-    def _relabeling_orbits(self, flip_free: bool) -> list[tuple[int, ...]]:
-        """Orbits of I on the cosets, the double classes I\\G/L; with flip_free,
-        of the flip-free relabelings on the flip-free cosets (flip bits are
-        constant on a coset, since L is flip-free)."""
-        coset, reps = self._cosets
-        igens = self.relabeling_generators()
-        points: Iterable[int] = range(len(reps))
-        if flip_free:
-            igens = [g for g in igens if self.is_flip_free(g)]
-            points = [c for c in points if self.is_flip_free(reps[c])]
-        return orbits(points, igens, lambda g, c: coset[mini_mul(g, reps[c])])
-
-    def _solvable_cosets(self, flip_free: bool = False) -> tuple[set[int], int]:
-        """(the I-orbit of the identity's coset, whose union is I*L, number
-        of cosets), in the flip-free part with flip_free."""
-        orbs = self._relabeling_orbits(flip_free)
-        e = self._cosets[0][self.identity()]
-        return set(next(o for o in orbs if e in o)), sum(map(len, orbs))
+        gens = [(g, True) for g in self.relabeling_generators()]
+        gens += [(l, False) for l in self.licit_generators()]
+        maps = self._image_tables(gens)
+        shape = tuple(map(len, maps[0]))
+        # flip-free edge values: flip digits all 0, a set the flip-free generators keep
+        keep = np.arange(0, shape[0], 2**self.edge_n)
+        free = []
+        for (g, _), (te, tc, tz) in zip(gens, maps):
+            if self.is_flip_free(g):
+                if (te[keep] % 2**self.edge_n).any():
+                    raise AssertionError("a flip-free generator adds flips")
+                free.append((te[keep] >> self.edge_n, tc, tz))
+        return _label_components(maps, shape), _label_components(free, (len(keep), *shape[1:]))
 
     def class_count(self, flip_free: bool = False) -> int:
         """Number of double classes I\\G/L; with flip_free, of the flip-free part."""
-        return len(self._relabeling_orbits(flip_free))
+        import numpy as np
+
+        return int(np.unique(self._components[flip_free]).size)
 
     def sweep_closed_form(self) -> tuple[int, int]:
         """(elements, disagreements of the main-path closed form, evaluated on
-        mini coordinates, with the solvable cosets)."""
-        coset = self._cosets[0]
-        solvable, _ = self._solvable_cosets()
-        return len(coset), sum(
-            (c in solvable) != cube.solvable_by_invariants(t[0], t[2])
-            for t, c in coset.items()
-        )
+        mini coordinates, with the solvable set).  The closed form is called
+        once per (flip bits, twists) and broadcast over the permutations."""
+        import numpy as np
+
+        f, t = 2**self.edge_n, 3**self.corners
+        bits = itertools.product((0, 1), repeat=self.edge_n)
+        twists = list(itertools.product((0, 1, 2), repeat=self.corners))
+        closed = [cube.solvable_by_invariants(eb, ct) for eb in bits for ct in twists]
+        labels = self._components[0]
+        solvable = labels.reshape(-1, f, labels.shape[1] // t, t, labels.shape[2]) == 0
+        bad = solvable != np.reshape(closed, (f, 1, t, 1))
+        return labels.size, int(np.count_nonzero(bad))
 
     def solvable_probability(self, flip_free: bool = False) -> Fraction:
-        """Share of solvable cosets; with flip_free, of flip-free cosets."""
-        solvable, total = self._solvable_cosets(flip_free)
-        return Fraction(len(solvable), total)
+        """Share of the solvable set; with flip_free, of the flip-free part."""
+        labels = self._components[flip_free]
+        return Fraction(int((labels == 0).sum()), labels.size)
 
     def check_subgroup_constructions(self) -> None:
         """The three routes to each subgroup must agree: direct construction
@@ -309,6 +298,33 @@ class MiniModel:
 def _closure(gens: Sequence[MiniElem], e: MiniElem) -> set[MiniElem]:
     """The subgroup generated by gens: e's orbit under right multiplication."""
     return set(orbits([e], gens, lambda g, x: mini_mul(x, g))[0])
+
+
+def _label_components(maps: Sequence[Sequence], shape: tuple[int, ...]):
+    """Least-rank labels of the connected components of an array of the
+    given shape under maps, each one index table per axis, and their
+    inverses: min-label propagation along every map, then pointer jumping,
+    until a whole round changes nothing (Shiloach & Vishkin 1982)."""
+    import numpy as np
+
+    steps = []  # per map and per inverse, (axis, table) on the axes it moves
+    for tables in maps:
+        moved = [(a, t) for a, t in enumerate(tables) if (t != np.arange(len(t))).any()]
+        steps += [moved, [(a, np.argsort(t)) for a, t in moved]]
+    labels = np.arange(math.prod(shape), dtype=np.int32).reshape(shape)
+    while True:
+        before = labels
+        for step in steps:
+            image = labels
+            for axis, table in step:
+                image = image.take(table, axis)
+            labels = np.minimum(labels, image)
+        flat = labels.ravel()
+        while not np.array_equal(flat, jumped := flat[flat]):
+            flat = jumped
+        labels = flat.reshape(shape)
+        if np.array_equal(labels, before):
+            return labels
 
 
 # ---------------------------------------------------------------------------

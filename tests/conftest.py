@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from revcube import cube, oracle, sims
+from revcube import cube, sims
 
 
 @pytest.fixture
@@ -28,10 +28,3 @@ def timed_slice_group():
 @pytest.fixture
 def slice_group(timed_slice_group):
     return timed_slice_group[0]
-
-
-@pytest.fixture(scope="session")
-def mini_2_2_1():
-    """One MiniModel(2, 2, 1) per session, so its 165,888-element coset
-    table (a cached property, about 70 MB) is built once."""
-    return oracle.MiniModel(2, 2, 1)

@@ -101,8 +101,8 @@ def test_criterion_06_sifting_matches_predicate(slice_group):
     )
 
 
-def test_criterion_07_small_model_oracle(mini_2_2_1):
-    model = mini_2_2_1
+def test_criterion_07_small_model_oracle():
+    model = oracle.MiniModel(2, 2, 1)
     classes = model.class_count()
     total, mismatches = model.sweep_closed_form()
     prob = model.solvable_probability()

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from revcube import cube, oracle, perm
@@ -109,16 +110,16 @@ ORACLE_ROWS = {
     (1, 3, 1): (9, 3, 31104, Fraction(1, 6), Fraction(1, 3)),
     (0, 2, 1): (3, 3, 432, Fraction(1, 3), Fraction(1, 3)),
     (0, 3, 1): (3, 3, 3888, Fraction(1, 3), Fraction(1, 3)),
+    # two center blocks: |I| = 2^pairs * 24^2 and |I & L| = 24^2 / 2
+    (1, 1, 2): (9, 3, 967680, Fraction(1, 6), Fraction(1, 3)),
+    (0, 2, 2): (3, 3, 725760, Fraction(1, 3), Fraction(1, 3)),
 }
 
 
 @pytest.mark.parametrize("shape", ORACLE_ROWS, ids=lambda s: "-".join(map(str, s)))
-def test_mini_oracle_answers(shape, request):
+def test_mini_oracle_answers(shape):
     classes, free, total, p, p_free = ORACLE_ROWS[shape]
-    if shape == (2, 2, 1):
-        m = request.getfixturevalue("mini_2_2_1")
-    else:
-        m = oracle.MiniModel(*shape)
+    m = oracle.MiniModel(*shape)
     assert m.class_count() == classes
     assert m.class_count(flip_free=True) == free
     assert m.sweep_closed_form() == (total, 0)
@@ -128,13 +129,14 @@ def test_mini_oracle_answers(shape, request):
 
 def test_mini_answers_share_one_enumeration(monkeypatch):
     calls = []
-    elements = oracle.MiniModel.elements
+    builder = vars(oracle.MiniModel)["_components"]  # the cached property
+    build = builder.func
 
     def spy(self):
         calls.append(self)
-        return elements(self)
+        return build(self)
 
-    monkeypatch.setattr(oracle.MiniModel, "elements", spy)
+    monkeypatch.setattr(builder, "func", spy)
     m = oracle.MiniModel(1, 1, 1)
     m.class_count()
     m.class_count(flip_free=True)
@@ -150,3 +152,46 @@ def test_mini_solvable_set_contains_both_factors():
     m = oracle.MiniModel(1, 1, 1)
     for t in m.relabelings() + m.licit_elements():
         assert cube.solvable_by_invariants(t[0], t[2])
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (0, 2, 1)])
+def test_ranks_decode_in_element_order(shape):
+    m = oracle.MiniModel(*shape)
+    edges, corners, centers = m._axes()
+    elements = list(m.elements())
+    assert len(elements) == m.size() == len(edges) * len(corners) * len(centers)
+    for rank, t in enumerate(elements):
+        i, j, k = np.unravel_index(rank, (len(edges), len(corners), len(centers)))
+        assert (*edges[i], *corners[j], centers[k]) == t
+    assert elements[0] == m.identity()
+    # digits from slowest to fastest: edge perm, flips, corner perm, twists, centers
+    flips = list(itertools.product((0, 1), repeat=m.edge_n))
+    twists = list(itertools.product((0, 1, 2), repeat=m.corners))
+    perms = [list(itertools.permutations(range(n))) for n in (m.edge_n, m.corners, m.center_n)]
+    assert elements == [
+        (eb, ep, ct, cp, zp)
+        for ep in perms[0]
+        for eb in flips
+        for cp in perms[1]
+        for ct in twists
+        for zp in perms[2]
+    ]
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 1), (2, 1, 1)])
+def test_image_tables_are_products(shape, make_rng):
+    # relabeling generators act on the left, licit ones on the right
+    m = oracle.MiniModel(*shape)
+    elements = list(m.elements())
+    rank = {t: r for r, t in enumerate(elements)}
+    gens = [(g, True) for g in m.relabeling_generators()]
+    gens += [(l, False) for l in m.licit_generators()]
+    shape3 = tuple(map(len, m._axes()))
+    rng = make_rng(1701)
+    for (g, left), tables in zip(gens, m._image_tables(gens)):
+        for r in rng.integers(0, len(elements), size=200):
+            t = elements[r]
+            want = rank[oracle.mini_mul(g, t) if left else oracle.mini_mul(t, g)]
+            digits = np.unravel_index(r, shape3)
+            image = np.ravel_multi_index([tab[d] for tab, d in zip(tables, digits)], shape3)
+            assert image == want
