@@ -4,9 +4,11 @@ The closed-form solvability predicate and the class counts are cheap to
 state and easy to get subtly wrong, so this module recomputes them by
 exhaustive search on shrunken cubes: m edge pairs, c corners, b center
 blocks.  The group shape is the same (flip wreath x twist wreath x block
-permutations), only the sizes differ.  Every element has a rank, and the
-answers read the connected components of the ranks under the relabeling
-and licit generators, which are the double classes.
+permutations), only the sizes differ.  An element is one value of each of
+three axes, ((edge bits, edge perm), (corner twists, corner perm), center
+perm), and its rank is mixed radix over the axes.  The answers read the
+connected components of the ranks under the relabeling and licit
+generators, which are the double classes.
 
 Everything here is deliberately self-contained: its own element encoding
 and multiplication, and subgroups built by filtering, by predicate and by
@@ -19,16 +21,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from . import cube
 
 ENUMERATION_CAP = 10**7
 
-# element encoding: (edge bits, edge perm, corner twists, corner perm, center perm)
-MiniElem = tuple[tuple[int, ...], ...]
+# element: ((edge bits, edge perm), (corner twists, corner perm), center perm)
+MiniElem = tuple[tuple, tuple, tuple[int, ...]]
 
 
 def _perm_sign(p: Sequence[int]) -> int:
@@ -43,11 +45,16 @@ def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
 
 
-def _wmul(k, atw, ap, btw, bp):
+def _wmul(k: int, a: tuple, b: tuple) -> tuple:
+    (atw, ap), (btw, bp) = a, b
     tw = list(atw)
     for i, j in enumerate(ap):
         tw[j] = (atw[j] + btw[i]) % k
     return tuple(tw), _compose(ap, bp)
+
+
+# the product of each axis; an element's product is componentwise
+_AXIS_MULS = (partial(_wmul, 2), partial(_wmul, 3), _compose)
 
 
 def _cycle(n: int, *points: int) -> tuple[int, ...]:
@@ -59,9 +66,8 @@ def _cycle(n: int, *points: int) -> tuple[int, ...]:
 
 
 def mini_mul(a: MiniElem, b: MiniElem) -> MiniElem:
-    eb, ep = _wmul(2, a[0], a[1], b[0], b[1])
-    ct, cp = _wmul(3, a[2], a[3], b[2], b[3])
-    return (eb, ep, ct, cp, _compose(a[4], b[4]))
+    edges, corners, centers = _AXIS_MULS
+    return edges(a[0], b[0]), corners(a[1], b[1]), centers(a[2], b[2])
 
 
 @dataclass(frozen=True)
@@ -90,35 +96,32 @@ class MiniModel:
         e, c, z = self.edge_n, self.corners, self.center_n
         return 2**e * math.factorial(e) * 3**c * math.factorial(c) * math.factorial(z)
 
-    def identity(self) -> MiniElem:
+    @cached_property
+    def _axes(self) -> tuple[list, list, list]:
+        """Values of the three rank axes: (edge bits, edge perm), (corner
+        twists, corner perm), center perm.  An element's rank is mixed radix
+        over them, bits and twists the faster digit of their axis, so the
+        flip-free edge values are every 2**edge_n-th."""
+        flips = list(itertools.product((0, 1), repeat=self.edge_n))
+        twists = list(itertools.product((0, 1, 2), repeat=self.corners))
         return (
-            (0,) * self.edge_n,
-            tuple(range(self.edge_n)),
-            (0,) * self.corners,
-            tuple(range(self.corners)),
-            tuple(range(self.center_n)),
+            [(eb, ep) for ep in itertools.permutations(range(self.edge_n)) for eb in flips],
+            [(ct, cp) for cp in itertools.permutations(range(self.corners)) for ct in twists],
+            list(itertools.permutations(range(self.center_n))),
         )
 
-    def elements(self) -> Iterator[MiniElem]:
-        """Every element of the full mini group, lazily, in rank order."""
-        for (eb, ep), (ct, cp), zp in itertools.product(*self._axes()):
-            yield (eb, ep, ct, cp, zp)
+    def identity(self) -> MiniElem:
+        return tuple(values[0] for values in self._axes)
 
     # -- defining conditions ------------------------------------------------
 
-    def is_flip_free(self, t: MiniElem) -> bool:
-        return all(b == 0 for b in t[0])
-
     def is_licit(self, t: MiniElem) -> bool:
-        return (
-            self.is_flip_free(t)
-            and sum(t[2]) % 3 == 0
-            and _perm_sign(t[3]) == _perm_sign(t[4])
-        )
+        (eb, _), (ct, cp), zp = t
+        return not any(eb) and sum(ct) % 3 == 0 and _perm_sign(cp) == _perm_sign(zp)
 
     def is_relabeling(self, t: MiniElem) -> bool:
-        eb, ep, ct, cp, zp = t
-        if any(x != 0 for x in ct) or any(cp[i] != i for i in range(self.corners)):
+        (eb, ep), corners, zp = t
+        if corners != self.identity()[1]:
             return False
         for k in range(self.pairs):
             a, b = 2 * k, 2 * k + 1
@@ -141,7 +144,7 @@ class MiniModel:
             (((0, 0), (2 * k, 2 * k + 1)), ((1, 1), (2 * k + 1, 2 * k)))  # fix, swap
             for k in range(self.pairs)
         ]
-        e = self.identity()
+        corners = self.identity()[1]
         out = []
         for picks in itertools.product(*pair_choices):
             eb, ep = [], []
@@ -154,60 +157,47 @@ class MiniModel:
                 zp = []
                 for k, blk in enumerate(blocks):
                     zp.extend(4 * k + x for x in blk)
-                out.append((tuple(eb), tuple(ep), e[2], e[3], tuple(zp)))
+                out.append(((tuple(eb), tuple(ep)), corners, tuple(zp)))
         return out
 
     def licit_elements(self) -> list[MiniElem]:
-        """The licit subgroup by filtering the flip-free enumeration."""
-        zero = (0,) * self.edge_n
-        corners = [(c, _perm_sign(c)) for c in itertools.permutations(range(self.corners))]
-        centers = [(z, _perm_sign(z)) for z in itertools.permutations(range(self.center_n))]
+        """The licit subgroup by filtering the flip-free axis values."""
+        edges, corners, centers = self._axes
+        corners = [(c, _perm_sign(c[1])) for c in corners if sum(c[0]) % 3 == 0]
+        centers = [(z, _perm_sign(z)) for z in centers]
         return [
-            (zero, ep, ct, cp, zp)
-            for ep in itertools.permutations(range(self.edge_n))
-            for cp, scp in corners
-            for ct in itertools.product((0, 1, 2), repeat=self.corners)
-            if sum(ct) % 3 == 0
-            for zp, szp in centers
-            if szp == scp
+            (e, c, z)
+            for e in edges[:: 2**self.edge_n]
+            for c, sc in corners
+            for z, sz in centers
+            if sz == sc
         ]
 
     def relabeling_generators(self) -> list[MiniElem]:
         e, n, z = self.identity(), self.edge_n, self.center_n
-        gens = [
-            (tuple(int(i // 2 == k) for i in range(n)), _cycle(n, 2 * k, 2 * k + 1), *e[2:])
-            for k in range(self.pairs)
-        ]
+        gens = []
+        for k in range(self.pairs):
+            bits = tuple(int(i // 2 == k) for i in range(n))
+            gens.append(((bits, _cycle(n, 2 * k, 2 * k + 1)), *e[1:]))
         for k in range(0, z, 4):
-            gens += [(*e[:4], _cycle(z, k, k + 1, k + 2, k + 3)), (*e[:4], _cycle(z, k, k + 1))]
+            gens += [(*e[:2], _cycle(z, k, k + 1, k + 2, k + 3)), (*e[:2], _cycle(z, k, k + 1))]
         return gens
 
     def licit_generators(self) -> list[MiniElem]:
         e, n, c, z = self.identity(), self.edge_n, self.corners, self.center_n
-        gens = [(e[0], _cycle(n, i, i + 1), *e[2:]) for i in range(n - 1)]
+        (eb, _), (ct, cp), zp = e
+        gens = [((eb, _cycle(n, i, i + 1)), *e[1:]) for i in range(n - 1)]
         for i in range(c - 1):
-            ct = list(e[2])
-            ct[i], ct[i + 1] = 1, 2
-            gens.append((e[0], e[1], tuple(ct), e[3], e[4]))
+            tw = list(ct)
+            tw[i], tw[i + 1] = 1, 2
+            gens.append((e[0], (tuple(tw), cp), zp))
         if c >= 2:
-            gens.append((*e[:3], _cycle(c, 0, 1), _cycle(z, 0, 1)))
-            gens += [(*e[:3], _cycle(c, i, i + 1, i + 2), e[4]) for i in range(c - 2)]
-        gens += [(*e[:4], _cycle(z, i, i + 1, i + 2)) for i in range(z - 2)]
+            gens.append((e[0], (ct, _cycle(c, 0, 1)), _cycle(z, 0, 1)))
+            gens += [(e[0], (ct, _cycle(c, i, i + 1, i + 2)), zp) for i in range(c - 2)]
+        gens += [(*e[:2], _cycle(z, i, i + 1, i + 2)) for i in range(z - 2)]
         return gens
 
     # -- exhaustive answers ---------------------------------------------------
-
-    def _axes(self) -> tuple[list, list, list]:
-        """Values of the three rank axes: (edge bits, edge perm), (corner
-        twists, corner perm), center perm.  An element's rank is mixed radix
-        over them, bits and twists the faster digit of their axis."""
-        flips = list(itertools.product((0, 1), repeat=self.edge_n))
-        twists = list(itertools.product((0, 1, 2), repeat=self.corners))
-        return (
-            [(eb, ep) for ep in itertools.permutations(range(self.edge_n)) for eb in flips],
-            [(ct, cp) for cp in itertools.permutations(range(self.corners)) for ct in twists],
-            list(itertools.permutations(range(self.center_n))),
-        )
 
     def _image_tables(self, gens: Sequence[tuple[MiniElem, bool]]) -> list[list]:
         """Per (g, left) and per axis, the index of each value's product with
@@ -215,47 +205,40 @@ class MiniModel:
         componentwise, so the three tables map every rank to its image."""
         import numpy as np
 
-        axes = self._axes()
-        indexes = [{v: i for i, v in enumerate(values)} for values in axes]
-        muls = (lambda a, b: _wmul(2, *a, *b), lambda a, b: _wmul(3, *a, *b), _compose)
+        axes = [
+            (mul, values, {v: i for i, v in enumerate(values)})
+            for mul, values in zip(_AXIS_MULS, self._axes)
+        ]
 
-        def table(mul, x, values, index, left):
+        def table(x, mul, values, index, left):
             if x == values[0]:  # the identity component
                 return np.arange(len(values))
             return np.array([index[mul(x, v) if left else mul(v, x)] for v in values])
 
-        return [
-            [table(*axis, left) for axis in zip(muls, (g[:2], g[2:4], g[4]), axes, indexes)]
-            for g, left in gens
-        ]
+        return [[table(x, *axis, left) for x, axis in zip(g, axes)] for g, left in gens]
 
     @cached_property
-    def _components(self) -> tuple:
-        """Component labels of G, then of its flip-free part, under left
-        products with the relabeling generators and right products with the
-        licit generators: the double classes I\\G/L.  A label is its
-        component's least rank, so I*L, the solvable set, is label 0."""
-        import numpy as np
-
+    def _components(self):
+        """Component labels of the ranks under left products with the
+        relabeling generators and right products with the licit generators:
+        the double classes I\\G/L.  A label is its component's least rank, so
+        I*L, the solvable set, is label 0."""
         gens = [(g, True) for g in self.relabeling_generators()]
         gens += [(l, False) for l in self.licit_generators()]
-        maps = self._image_tables(gens)
-        shape = tuple(map(len, maps[0]))
-        # flip-free edge values: flip digits all 0, a set the flip-free generators keep
-        keep = np.arange(0, shape[0], 2**self.edge_n)
-        free = []
-        for (g, _), (te, tc, tz) in zip(gens, maps):
-            if self.is_flip_free(g):
-                if (te[keep] % 2**self.edge_n).any():
-                    raise AssertionError("a flip-free generator adds flips")
-                free.append((te[keep] >> self.edge_n, tc, tz))
-        return _label_components(maps, shape), _label_components(free, (len(keep), *shape[1:]))
+        return _label_components(self._image_tables(gens), tuple(map(len, self._axes)))
+
+    def _labels(self, flip_free: bool):
+        """The labels of G, or of its flip-free part F, the slice of flip
+        digits 0.  For t, t' in F with t' = i*t*l, i = t'*l^-1*t^-1 lies in F
+        (L lies in F), so the double classes of F are those of G restricted."""
+        labels = self._components
+        return labels[:: 2**self.edge_n] if flip_free else labels
 
     def class_count(self, flip_free: bool = False) -> int:
         """Number of double classes I\\G/L; with flip_free, of the flip-free part."""
         import numpy as np
 
-        return int(np.unique(self._components[flip_free]).size)
+        return int(np.unique(self._labels(flip_free)).size)
 
     def sweep_closed_form(self) -> tuple[int, int]:
         """(elements, disagreements of the main-path closed form, evaluated on
@@ -264,17 +247,18 @@ class MiniModel:
         import numpy as np
 
         f, t = 2**self.edge_n, 3**self.corners
-        bits = itertools.product((0, 1), repeat=self.edge_n)
-        twists = list(itertools.product((0, 1, 2), repeat=self.corners))
-        closed = [cube.solvable_by_invariants(eb, ct) for eb in bits for ct in twists]
-        labels = self._components[0]
+        edges, corners, _ = self._axes  # edges[:f]: all flip bits; corners[:t]: all twists
+        closed = [
+            cube.solvable_by_invariants(eb, ct) for eb, _ in edges[:f] for ct, _ in corners[:t]
+        ]
+        labels = self._components
         solvable = labels.reshape(-1, f, labels.shape[1] // t, t, labels.shape[2]) == 0
         bad = solvable != np.reshape(closed, (f, 1, t, 1))
         return labels.size, int(np.count_nonzero(bad))
 
     def solvable_probability(self, flip_free: bool = False) -> Fraction:
         """Share of the solvable set; with flip_free, of the flip-free part."""
-        labels = self._components[flip_free]
+        labels = self._labels(flip_free)
         return Fraction(int((labels == 0).sum()), labels.size)
 
     def check_subgroup_constructions(self) -> None:

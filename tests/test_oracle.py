@@ -60,13 +60,13 @@ def test_mini_sizes():
 
 def test_mini_size_cap():
     with pytest.raises(ValueError):
-        oracle.MiniModel(4, 4, 2).elements()
+        oracle.MiniModel(4, 4, 2)
 
 
 def test_mini_group_axioms(make_rng):
     rng = make_rng(401)
     m = oracle.MiniModel(2, 2, 1)
-    elems = list(m.elements())
+    elems = list(itertools.product(*m._axes))
     e = m.identity()
     for _ in range(100):
         a = elems[int(rng.integers(0, len(elems)))]
@@ -83,6 +83,8 @@ def test_mini_subgroup_constructions():
     oracle.MiniModel(2, 2, 1).check_subgroup_constructions()
     # three corners: the corner 3-cycle licit generator
     oracle.MiniModel(1, 3, 1).check_subgroup_constructions()
+    # no corners: no corner generators, and centers move only by 3-cycles
+    oracle.MiniModel(2, 0, 1).check_subgroup_constructions()
 
 
 def test_mini_relabeling_count():
@@ -113,6 +115,10 @@ ORACLE_ROWS = {
     # two center blocks: |I| = 2^pairs * 24^2 and |I & L| = 24^2 / 2
     (1, 1, 2): (9, 3, 967680, Fraction(1, 6), Fraction(1, 3)),
     (0, 2, 2): (3, 3, 725760, Fraction(1, 3), Fraction(1, 3)),
+    # no corners: no twist to carry, so the flip-free part is one class
+    (2, 0, 1): (9, 1, 9216, Fraction(1, 4), Fraction(1)),
+    (2, 3, 1): (27, 3, 1492992, Fraction(1, 12), Fraction(1, 3)),
+    (3, 1, 1): (81, 3, 3317760, Fraction(1, 24), Fraction(1, 3)),
 }
 
 
@@ -128,15 +134,15 @@ def test_mini_oracle_answers(shape):
 
 
 def test_mini_answers_share_one_enumeration(monkeypatch):
+    # one labeling serves all five answers; the flip-free ones read a slice of it
     calls = []
-    builder = vars(oracle.MiniModel)["_components"]  # the cached property
-    build = builder.func
+    label = oracle._label_components
 
-    def spy(self):
-        calls.append(self)
-        return build(self)
+    def spy(maps, shape):
+        calls.append(shape)
+        return label(maps, shape)
 
-    monkeypatch.setattr(builder, "func", spy)
+    monkeypatch.setattr(oracle, "_label_components", spy)
     m = oracle.MiniModel(1, 1, 1)
     m.class_count()
     m.class_count(flip_free=True)
@@ -151,25 +157,27 @@ def test_mini_solvable_set_contains_both_factors():
     # both factors inside the brute-force solvable set I*L
     m = oracle.MiniModel(1, 1, 1)
     for t in m.relabelings() + m.licit_elements():
-        assert cube.solvable_by_invariants(t[0], t[2])
+        assert cube.solvable_by_invariants(t[0][0], t[1][0])
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1), (0, 2, 1)])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (0, 2, 1), (2, 0, 1)])
 def test_ranks_decode_in_element_order(shape):
     m = oracle.MiniModel(*shape)
-    edges, corners, centers = m._axes()
-    elements = list(m.elements())
+    edges, corners, centers = m._axes
+    elements = list(itertools.product(*m._axes))
     assert len(elements) == m.size() == len(edges) * len(corners) * len(centers)
     for rank, t in enumerate(elements):
         i, j, k = np.unravel_index(rank, (len(edges), len(corners), len(centers)))
-        assert (*edges[i], *corners[j], centers[k]) == t
+        assert (edges[i], corners[j], centers[k]) == t
     assert elements[0] == m.identity()
+    # the flip_free answers read this slice of the edge axis as the flip-free part
+    assert edges[:: 2**m.edge_n] == [e for e in edges if not any(e[0])]
     # digits from slowest to fastest: edge perm, flips, corner perm, twists, centers
     flips = list(itertools.product((0, 1), repeat=m.edge_n))
     twists = list(itertools.product((0, 1, 2), repeat=m.corners))
     perms = [list(itertools.permutations(range(n))) for n in (m.edge_n, m.corners, m.center_n)]
     assert elements == [
-        (eb, ep, ct, cp, zp)
+        ((eb, ep), (ct, cp), zp)
         for ep in perms[0]
         for eb in flips
         for cp in perms[1]
@@ -182,11 +190,11 @@ def test_ranks_decode_in_element_order(shape):
 def test_image_tables_are_products(shape, make_rng):
     # relabeling generators act on the left, licit ones on the right
     m = oracle.MiniModel(*shape)
-    elements = list(m.elements())
+    elements = list(itertools.product(*m._axes))
     rank = {t: r for r, t in enumerate(elements)}
     gens = [(g, True) for g in m.relabeling_generators()]
     gens += [(l, False) for l in m.licit_generators()]
-    shape3 = tuple(map(len, m._axes()))
+    shape3 = tuple(map(len, m._axes))
     rng = make_rng(1701)
     for (g, left), tables in zip(gens, m._image_tables(gens)):
         for r in rng.integers(0, len(elements), size=200):
