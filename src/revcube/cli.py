@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable, NoReturn
 
-from . import counting, cube, geometry, oracle, sims, wreath
+from . import counting, cube, geometry, oracle, sims
 
 EXIT_OK = 0
 EXIT_UNSOLVABLE = 1
@@ -182,9 +182,9 @@ def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
 
     po = oracle.pair_orbits()
     merged: dict = {}  # one pair's four flip patterns, grouped by their class
+    _, *rest = cube._IDENTITY_ROWS
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        edges = wreath.WreathElem(2, bits * cube.NUM_EDGE_PAIRS, ident.edges.perm)
-        key = cube.classify(cube.CubeState(edges, ident.corners, ident.centers))
+        key = cube.classify(cube._from_rows(bits * cube.NUM_EDGE_PAIRS, *rest))
         merged[key] = merged.get(key, ()) + (bits,)
     ok = po == [((0, 0), (1, 1)), ((0, 1),), ((1, 0),)] == sorted(merged.values())
     points, group, act = oracle.pair_flip_action()

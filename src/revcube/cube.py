@@ -27,8 +27,9 @@ Two regimes are named by one `mode` string (MODES): ``marked`` covers every
 assembly, ``mechanical`` the flip-free ones, with the flip bits left out.
 
 Constructors and parse_state validate their input and raise ValueError.
-Products and inverses of valid assemblies stay in the group, and a parsed
-state is checked field by field: both are built without re-checking.
+Nothing built inside the module is checked again: products and inverses stay
+in the group, and parse_state, identity_state, generator, representative and
+the random builders pass valid rows to _from_rows.
 """
 
 from __future__ import annotations
@@ -94,12 +95,34 @@ class CubeState:
         )
 
 
-def identity_state() -> CubeState:
-    return CubeState(
-        WreathElem.identity(2, NUM_EDGES),
-        WreathElem.identity(3, NUM_CORNERS),
-        pm.identity(NUM_CENTERS),
+# the five rows of an assembly, in state-file order: label, length, twist modulus
+_STATE_LINES = (
+    ("edges_flip", NUM_EDGES, 2),
+    ("edges_perm", NUM_EDGES, None),
+    ("corners_twist", NUM_CORNERS, 3),
+    ("corners_perm", NUM_CORNERS, None),
+    ("centers_perm", NUM_CENTERS, None),
+)
+_IDENTITY_ROWS = tuple((0,) * n if k else pm.identity(n) for _, n, k in _STATE_LINES)
+
+
+def _from_rows(etw, ep, ctw, cp, zp) -> CubeState:
+    """The assembly with these rows, in _STATE_LINES order, built without
+    re-checking: each row must be a valid tuple of Python ints."""
+    return _trusted(
+        CubeState,
+        edges=_trusted(WreathElem, k=2, twists=etw, perm=ep),
+        corners=_trusted(WreathElem, k=3, twists=ctw, perm=cp),
+        centers=zp,
     )
+
+
+def _rows(t: CubeState) -> tuple[tuple[int, ...], ...]:
+    return (t.edges.twists, t.edges.perm, t.corners.twists, t.corners.perm, t.centers)
+
+
+def identity_state() -> CubeState:
+    return _from_rows(*_IDENTITY_ROWS)
 
 
 Move = enum.Enum("Move", [(n, n) for n in geometry.MOVE_SLABS], module=__name__)
@@ -109,8 +132,7 @@ Move.__doc__ = "The twelve slab quarter-turns, outer faces and inner slices."
 @cache
 def generator(move: Move) -> CubeState:
     """The assembly reached from solved by one slice quarter-turn."""
-    etw, ep, ctw, cp, zp = geometry.move_components(*geometry.MOVE_SLABS[move.value])
-    return CubeState(WreathElem(2, etw, ep), WreathElem(3, ctw, cp), zp)
+    return _from_rows(*geometry.move_components(*geometry.MOVE_SLABS[move.value]))
 
 
 def all_generators() -> tuple[CubeState, ...]:
@@ -154,14 +176,11 @@ def is_licit(t: CubeState) -> bool:
     return preserves_marking(t) and characteristic(t) == (0, 1)
 
 
-_SOLVED_CORNERS = ((0,) * NUM_CORNERS, tuple(range(NUM_CORNERS)))
-
-
 def is_relabeling(t: CubeState) -> bool:
     """Permutes identically-colored pieces in place, invisible on a solved
     cube: every edge pair is either fixed bit-free or swapped with both
     members flipped, corners untouched, centers stay inside their face."""
-    if (t.corners.twists, t.corners.perm) != _SOLVED_CORNERS:
+    if _rows(t)[2:4] != _IDENTITY_ROWS[2:4]:
         return False
     ep, eb = t.edges.perm, t.edges.twists
     for k in range(NUM_EDGE_PAIRS):
@@ -248,15 +267,10 @@ def classify(t: CubeState) -> StateClass:
 def representative(cls: StateClass) -> CubeState:
     """Canonical assembly in a class: identity permutations, pair bits from
     the labels, all twist on corner 0."""
-    bits: list[int] = []
-    for l in cls.pair_labels:
-        bits.extend(_PAIR_BITS[l])
+    bits = tuple(b for l in cls.pair_labels for b in _PAIR_BITS[l])
     twists = (cls.twist,) + (0,) * (NUM_CORNERS - 1)
-    return CubeState(
-        WreathElem(2, tuple(bits), pm.identity(NUM_EDGES)),
-        WreathElem(3, twists, pm.identity(NUM_CORNERS)),
-        pm.identity(NUM_CENTERS),
-    )
+    _, ep, _, cp, zp = _IDENTITY_ROWS
+    return _from_rows(bits, ep, twists, cp, zp)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +282,13 @@ def random_assembly(rng: np.random.Generator, mode: str = "marked") -> CubeState
     bits (marked mode only), edge permutation, corner twists, corner
     permutation, center permutation."""
     _check_mode(mode)
-    ebits = (0,) * NUM_EDGES
+    ebits = _IDENTITY_ROWS[0]
     if mode == "marked":
-        ebits = tuple(int(x) for x in rng.integers(0, 2, size=NUM_EDGES))
+        ebits = tuple(rng.integers(0, 2, size=NUM_EDGES).tolist())
     eperm = pm.random_perm(NUM_EDGES, rng)
-    ctw = tuple(int(x) for x in rng.integers(0, 3, size=NUM_CORNERS))
+    ctw = tuple(rng.integers(0, 3, size=NUM_CORNERS).tolist())
     cperm = pm.random_perm(NUM_CORNERS, rng)
-    zperm = pm.random_perm(NUM_CENTERS, rng)
-    return CubeState(WreathElem(2, ebits, eperm), WreathElem(3, ctw, cperm), zperm)
+    return _from_rows(ebits, eperm, ctw, cperm, pm.random_perm(NUM_CENTERS, rng))
 
 
 def random_relabeling(rng: np.random.Generator) -> CubeState:
@@ -292,20 +305,12 @@ def random_relabeling(rng: np.random.Generator) -> CubeState:
         block = pm.random_perm(4, rng)
         for i, x in enumerate(block):
             zperm[4 * k + i] = 4 * k + x
-    edges = WreathElem(2, tuple(bits), tuple(eperm))
-    return CubeState(edges, identity_state().corners, tuple(zperm))
+    _, _, ctw, cp, _ = _IDENTITY_ROWS
+    return _from_rows(tuple(bits), tuple(eperm), ctw, cp, tuple(zperm))
 
 
 # ---------------------------------------------------------------------------
 # state files
-
-_STATE_LINES = (
-    ("edges_flip", NUM_EDGES, 2),
-    ("edges_perm", NUM_EDGES, None),
-    ("corners_twist", NUM_CORNERS, 3),
-    ("corners_perm", NUM_CORNERS, None),
-    ("centers_perm", NUM_CENTERS, None),
-)
 
 
 class StateFileError(ValueError):
@@ -327,16 +332,9 @@ def _natural(text: str) -> int | None:
 
 
 def format_state(t: CubeState) -> str:
-    rows = (
-        t.edges.twists,
-        t.edges.perm,
-        t.corners.twists,
-        t.corners.perm,
-        t.centers,
-    )
     return "".join(
         f"{label}: " + " ".join(str(x) for x in row) + "\n"
-        for (label, _, _), row in zip(_STATE_LINES, rows)
+        for (label, _, _), row in zip(_STATE_LINES, _rows(t))
     )
 
 
@@ -376,9 +374,4 @@ def parse_state(text: str) -> CubeState:
         if modulus is None and not pm.is_perm(values):
             raise StateFileError(lineno, 0, f"'{label}' is not a permutation")
         rows.append(tuple(values))
-    return _trusted(
-        CubeState,
-        edges=_trusted(WreathElem, k=2, twists=rows[0], perm=rows[1]),
-        corners=_trusted(WreathElem, k=3, twists=rows[2], perm=rows[3]),
-        centers=rows[4],
-    )
+    return _from_rows(*rows)

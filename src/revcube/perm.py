@@ -29,11 +29,11 @@ def identity(n: int) -> Perm:
 
 
 def is_perm(p: Sequence[int]) -> bool:
-    """True when p is a bijective image table of {0, ..., len(p)-1}."""
+    """True when p is a bijective image table of {0, ..., len(p)-1} (bools refused)."""
     n = len(p)
     seen = [False] * n
     for x in p:  # ints first: the Integral ABC check (numpy ints) is slow
-        if type(x) is not int and not isinstance(x, Integral):
+        if type(x) is not int and (type(x) is bool or not isinstance(x, Integral)):
             return False
         if not 0 <= x < n or seen[x]:
             return False

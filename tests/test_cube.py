@@ -342,15 +342,26 @@ def test_closed_operations_do_not_revalidate(make_rng, monkeypatch):
     rng = make_rng(315)
     pairs = [(cube.random_assembly(rng), cube.random_assembly(rng)) for _ in range(20)]
 
+    classes = [cube.classify(cube.random_assembly(rng)) for _ in range(10)]
+    classes.append(cube.classify(IDENT))
+    draw_seeds = rng.integers(0, 2**32, size=3).tolist()
+
     def refuse(p):
-        raise AssertionError("a product or inverse re-validated its result")
+        raise AssertionError("a product, inverse or builder re-validated its result")
 
     monkeypatch.setattr(perm, "check_perm", refuse)
+    cube.generator.cache_clear()  # rebuild every generator under the refusal
     results = []
     for a, b in pairs:
         results += [a * b, a.inverse()]
         for x, y in [(a.edges, b.edges), (a.corners, b.corners)]:
             results += [x * y, x.inverse()]
+    results += [cube.identity_state(), *cube.all_generators()]
+    results += [cube.representative(c) for c in classes]
+    for seed in draw_seeds:
+        r = np.random.default_rng(seed)
+        results += [cube.random_assembly(r, mode) for mode in cube.MODES]
+        results += [cube.random_relabeling(r) for _ in range(3)]
     monkeypatch.undo()
     for t in results:
         ref = _rebuilt(t)

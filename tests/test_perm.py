@@ -56,8 +56,11 @@ def test_is_perm_and_check():
     assert perm.is_perm((2, 0, 1))
     assert not perm.is_perm((0, 0, 1))
     assert not perm.is_perm((0, 1, 3))
+    assert not perm.is_perm((True, False))  # bools are not point labels
     with pytest.raises(ValueError):
         perm.check_perm((1, 1))
+    with pytest.raises(ValueError):
+        perm.check_perm((True, False))
 
 
 def _sign_by_inversions(p):

@@ -223,7 +223,7 @@ def test_contains_rejects_degree_mismatch(slice_group):
         slice_group.contains(perm.identity(5))
     # a sequence that is no permutation is rejected as build_bsgs rejects it
     small = sims.build_bsgs([(0, 1, 2)])
-    for bad in ((0.0, 1.0, 2.0), (0, 0, 1)):
+    for bad in ((0.0, 1.0, 2.0), (0, 0, 1), (False, True, 2)):
         with pytest.raises(ValueError, match="not a permutation"):
             sims.build_bsgs([bad])
         with pytest.raises(ValueError, match="not a permutation"):

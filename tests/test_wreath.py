@@ -24,6 +24,8 @@ def test_validation():
     with pytest.raises(ValueError):
         WreathElem(2, (True, True) + (0,) * 22, perm.identity(24))  # not bools
     with pytest.raises(ValueError):
+        WreathElem(2, (0,) * 4, (True, False, 2, 3))  # nor in the permutation
+    with pytest.raises(ValueError):
         WreathElem(2.0, (0, 1), (1, 0))  # the modulus too
     # products check that their operands live in the same group
     with pytest.raises(ValueError):
