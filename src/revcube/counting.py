@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from functools import cache
+from numbers import Integral
 
 from . import cube, oracle
 
@@ -91,22 +93,30 @@ def exact_probability(mode: str = "marked") -> Fraction:
 # (seed, spawn_key=(i,)) independently of how streams are scheduled, so the
 # estimate depends on (mode, n, seed) only, never on the worker count.
 # Solvability reads only the edge flip bits and the corner twists
-# (cube.solvable_by_invariants), and under the uniform law the piece
-# placements are independent of both, so a stream draws just the flips
-# (marked mode) and the twists: the hit indicator has the same law as for a
-# full assembly drawn by the scalar samplers in cube.py.
+# (cube.solvable_by_invariants), and under the uniform law the placements
+# are independent of both, so a sample draws just those as two uniform
+# integers: x in [0, 2^24) (marked mode only, first), bit k edge k's flip,
+# then v in [0, 3^8), base-3 digit k corner k's twist.  The hit indicator
+# has the same law as for a full assembly drawn by cube.py's samplers.
+
+
+@cache
+def _twists_pass():
+    """Bool table over the 3^8 twist codes: their digit sum is 0 mod 3."""
+    import numpy as np
+    codes = np.arange(3**cube.NUM_CORNERS)
+    return sum(codes // 3**k % 3 for k in range(cube.NUM_CORNERS)) % 3 == 0
 
 
 def _stream_hits(mode: str, seed: int, index: int, count: int) -> int:
     import numpy as np  # loaded by the first stream, not by the exact counts
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     if mode == "marked":
-        bits = rng.integers(0, 2, size=(count, cube.NUM_EDGES), dtype=np.int8)
-    twists = rng.integers(0, 3, size=(count, cube.NUM_CORNERS), dtype=np.int8)
-    ok = twists.sum(axis=1, dtype=np.int64) % 3 == 0
+        x = rng.integers(0, 1 << cube.NUM_EDGES, size=count, dtype=np.uint32)
+    ok = _twists_pass()[rng.integers(0, 3**cube.NUM_CORNERS, size=count, dtype=np.uint16)]
     if mode == "marked":
-        ok &= (bits[:, 0::2] == bits[:, 1::2]).all(axis=1)
-    return int(ok.sum())
+        ok &= (x ^ (x >> 1)) & 0x555555 == 0  # bit 2j set: pair (2j, 2j+1) differs
+    return int(np.count_nonzero(ok))
 
 
 def estimate_probability(
@@ -115,16 +125,16 @@ def estimate_probability(
     """(hit fraction, standard error) over n uniform samples.
 
     Deterministic given (mode, n, seed); the worker count only schedules
-    streams.  The standard error is sqrt(p(1-p)/n) at the estimate.
+    streams.  The standard error is sqrt(p(1-p)/n) at the estimate.  A bool,
+    non-integer, n or workers below 1, or seed below 0 raises ValueError.
     """
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor  # only Monte Carlo pays for it
 
     cube._check_mode(mode)
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if workers < 1:
-        raise ValueError("need at least one worker")
+    for name, value, least in (("n", n, 1), ("seed", seed, 0), ("workers", workers, 1)):
+        if type(value) is bool or not isinstance(value, Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     threads = min(workers, os.cpu_count() or 1)
     hits = 0
     with ThreadPoolExecutor(max_workers=threads) as pool:

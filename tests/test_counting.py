@@ -167,11 +167,11 @@ def test_estimate_pinned():
     # pins from the scalar rebuild of every stream (see
     # test_stream_hits_match_scalar_predicate), not from _stream_hits
     est, err = counting.estimate_probability("mechanical", 200_000, seed=7)
-    assert est == Fraction(3359, 10_000)
-    assert f"{err:.6e}" == "1.056104e-03"
+    assert est == Fraction(66_663, 200_000)
+    assert f"{err:.6e}" == "1.054078e-03"
     est, err = counting.estimate_probability("marked", 100_000, seed=5, workers=2)
-    assert est == Fraction(3, 50_000)
-    assert f"{err:.6e}" == "2.449416e-05"
+    assert est == Fraction(7, 100_000)
+    assert f"{err:.6e}" == "2.645659e-05"
 
 
 def test_estimate_close_to_exact():
@@ -200,6 +200,35 @@ def test_estimate_rejects_bad_args():
         counting.estimate_probability("painted", 100, seed=1)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n", 0),
+        ("n", True),
+        ("n", 2.5),
+        ("n", "100"),
+        ("seed", -1),
+        ("seed", True),
+        ("seed", 1.0),
+        ("workers", 0),
+        ("workers", False),
+        ("workers", 1.5),
+    ],
+)
+def test_estimate_refuses_bad_counts(name, value):
+    args = {"n": 100, "seed": 1, "workers": 1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        counting.estimate_probability("mechanical", **args)
+
+
+def test_estimate_takes_numpy_integers():
+    want = counting.estimate_probability("mechanical", 1000, seed=3, workers=2)
+    got = counting.estimate_probability(
+        "mechanical", np.int64(1000), seed=np.uint64(3), workers=np.int32(2)
+    )
+    assert got == want
+
+
 def test_flip_rate_matches_pair_condition(make_rng):
     # fraction of assemblies whose flips alone pass is 2^-12
     rng = make_rng(501)
@@ -215,14 +244,16 @@ def test_flip_rate_matches_pair_condition(make_rng):
 
 
 def test_stream_hits_match_scalar_predicate():
-    # rebuild one stream's flip bits and twists from its seed, give each row
-    # piece placements from an independent generator, and judge it with
-    # CubeState: the vectorized predicate cannot drift from the scalar one,
-    # and the match under arbitrary placements shows neither reads them
+    # draw one stream's packed integers from its seed, decode them in plain
+    # Python, give each sample piece placements from an independent
+    # generator, and judge it with CubeState: the vectorized predicate cannot
+    # drift from the scalar one, and the match under arbitrary placements
+    # shows neither reads them.  Seed 85's first 4096 marked samples hold 3
+    # hits, so the flip rule is exercised, not just the twist rule.
     from revcube.counting import _stream_hits
     from revcube.wreath import WreathElem
 
-    count, seed = 4096, 31
+    count, seed = 4096, 85
     place = np.random.Generator(np.random.PCG64(np.random.SeedSequence(99)))
 
     def perm_row(n):
@@ -233,20 +264,30 @@ def test_stream_hits_match_scalar_predicate():
             np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
         )
         if mode == "marked":
-            bits = rng.integers(0, 2, size=(count, 24), dtype=np.int8)
+            flips = rng.integers(0, 1 << 24, size=count, dtype=np.uint32).tolist()
         else:
-            bits = np.zeros((count, 24), dtype=np.int8)
-        twists = rng.integers(0, 3, size=(count, 8), dtype=np.int8)
+            flips = [0] * count
+        twists = rng.integers(0, 3**8, size=count, dtype=np.uint16).tolist()
 
         hits = 0
-        for r in range(count):
+        for x, v in zip(flips, twists):
             t = cube.CubeState(
-                WreathElem(2, tuple(map(int, bits[r])), perm_row(24)),
-                WreathElem(3, tuple(map(int, twists[r])), perm_row(8)),
+                WreathElem(2, tuple((x >> k) & 1 for k in range(24)), perm_row(24)),
+                WreathElem(3, tuple((v // 3**k) % 3 for k in range(8)), perm_row(8)),
                 perm_row(24),
             )
             hits += cube.is_solvable(t)
         assert hits == _stream_hits(mode, seed, 0, count)
+        assert hits >= 3
+
+
+def test_twist_table_matches_closed_form():
+    # every one of the 3^8 twist codes, decoded digit by digit
+    table = counting._twists_pass()
+    assert table.shape == (3**8,)
+    for v in range(3**8):
+        digits = [(v // 3**k) % 3 for k in range(8)]
+        assert table[v] == cube.solvable_by_invariants([0] * 24, digits), v
 
 
 def test_wilson_interval():
