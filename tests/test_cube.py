@@ -279,6 +279,22 @@ def test_sampler_streams_pinned(make_rng, mode):
     assert got == SAMPLER_PINS[mode]
 
 
+def test_consecutive_draws_pinned(make_rng):
+    # SAMPLER_PINS reads only each seed's first draw; this pins a run of
+    # draws from one generator and where the generator stands afterwards
+    rng = make_rng(330)
+    h = hashlib.sha256()
+    for mode in cube.MODES:
+        for _ in range(20):
+            h.update(cube.format_state(cube.random_assembly(rng, mode)).encode())
+    for _ in range(20):
+        h.update(cube.format_state(cube.random_relabeling(rng)).encode())
+    h.update(str(int(rng.integers(0, 2**30))).encode())
+    assert h.hexdigest() == (
+        "e403b916bec480ab8586abf08a4f8467020ff64543362f368016c298c5f862ca"
+    )
+
+
 def test_random_mechanical_assembly_is_flip_free(make_rng):
     rng = make_rng(310)
     for _ in range(50):
