@@ -155,7 +155,12 @@ WILSON_Z = 1.96
 
 def wilson_interval(hits: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval (Wilson 1927) for `hits` successes in `n`
-    trials.  Unlike the standard error it stays honest at 0 or n hits."""
+    trials.  Unlike the standard error it stays honest at 0 or n hits.  A bool,
+    non-integer, n below 1, or hits outside 0..n raises ValueError."""
+    if type(n) is bool or not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if type(hits) is bool or not isinstance(hits, Integral) or not 0 <= hits <= n:
+        raise ValueError(f"hits must be an integer in 0..{n}, got {hits!r}")
     z2 = WILSON_Z * WILSON_Z
     centre = hits + z2 / 2
     half = WILSON_Z * math.sqrt(hits * (n - hits) / n + z2 / 4)

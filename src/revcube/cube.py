@@ -38,6 +38,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import geometry
@@ -277,34 +278,40 @@ def representative(cls: StateClass) -> CubeState:
 # random sampling
 
 
+# the bound of each draw, in the orders the two docstrings below give
+_ASSEMBLY_BOUNDS = [
+    *[2] * NUM_EDGES, *range(NUM_EDGES, 1, -1), *[3] * NUM_CORNERS,
+    *range(NUM_CORNERS, 1, -1), *range(NUM_CENTERS, 1, -1),
+]
+_RELABELING_BOUNDS = [2] * NUM_EDGE_PAIRS + [4, 3, 2] * NUM_CENTER_BLOCKS
+
+
 def random_assembly(rng: np.random.Generator, mode: str = "marked") -> CubeState:
-    """Uniform over the assemblies of `mode`.  Draw order: the 24 edge flip
-    bits (marked mode only), edge permutation, corner twists, corner
-    permutation, center permutation."""
+    """Uniform over the assemblies of `mode`, drawn in one call.  Draw order:
+    the 24 edge flip bits (marked mode only), edge permutation (Fisher-Yates
+    swap positions), corner twists, corner permutation, center permutation."""
     _check_mode(mode)
-    ebits = _IDENTITY_ROWS[0]
-    if mode == "marked":
-        ebits = tuple(rng.integers(0, 2, size=NUM_EDGES).tolist())
-    eperm = pm.random_perm(NUM_EDGES, rng)
-    ctw = tuple(rng.integers(0, 3, size=NUM_CORNERS).tolist())
-    cperm = pm.random_perm(NUM_CORNERS, rng)
-    return _from_rows(ebits, eperm, ctw, cperm, pm.random_perm(NUM_CENTERS, rng))
+    marked = mode == "marked"
+    d = iter(rng.integers(0, _ASSEMBLY_BOUNDS[0 if marked else NUM_EDGES :]).tolist())
+    ebits = tuple(islice(d, NUM_EDGES)) if marked else _IDENTITY_ROWS[0]
+    eperm = pm.fisher_yates(NUM_EDGES, d)
+    ctw = tuple(islice(d, NUM_CORNERS))
+    cperm = pm.fisher_yates(NUM_CORNERS, d)
+    return _from_rows(ebits, eperm, ctw, cperm, pm.fisher_yates(NUM_CENTERS, d))
 
 
 def random_relabeling(rng: np.random.Generator) -> CubeState:
-    """Uniform over relabelings: independent pair swaps and block shuffles."""
+    """Uniform over relabelings, drawn in one call: independent pair swaps,
+    then a Fisher-Yates shuffle of each center block."""
+    d = iter(rng.integers(0, _RELABELING_BOUNDS).tolist())
     bits = [0] * NUM_EDGES
     eperm = list(range(NUM_EDGES))
-    for k in range(NUM_EDGE_PAIRS):
-        if int(rng.integers(0, 2)):
+    for k, swap in zip(range(NUM_EDGE_PAIRS), d):
+        if swap:
             a, b = 2 * k, 2 * k + 1
             bits[a] = bits[b] = 1
             eperm[a], eperm[b] = b, a
-    zperm = list(range(NUM_CENTERS))
-    for k in range(NUM_CENTER_BLOCKS):
-        block = pm.random_perm(4, rng)
-        for i, x in enumerate(block):
-            zperm[4 * k + i] = 4 * k + x
+    zperm = [4 * k + x for k in range(NUM_CENTER_BLOCKS) for x in pm.fisher_yates(4, d)]
     _, _, ctw, cp, _ = _IDENTITY_ROWS
     return _from_rows(tuple(bits), tuple(eperm), ctw, cp, tuple(zperm))
 

@@ -42,7 +42,7 @@ def _perm_sign(p: Sequence[int]) -> int:
 
 
 def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def _wmul(k: int, a: tuple, b: tuple) -> tuple:

@@ -11,7 +11,7 @@ Generator, so a fixed seed reproduces the same permutation.
 from __future__ import annotations
 
 from numbers import Integral
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,7 +45,7 @@ def check_perm(p: Sequence[int]) -> Perm:
     """Return p as a tuple, raising ValueError when it is not a permutation."""
     if not is_perm(p):
         raise ValueError(f"not a permutation of 0..{len(p) - 1}: {p!r}")
-    return tuple(int(x) for x in p)
+    return tuple(map(int, p))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -104,8 +104,13 @@ def random_perm(n: int, rng: np.random.Generator) -> Perm:
     Exactly uniform over all n! permutations and deterministic given the
     generator state; one bounded integer per step, all drawn in one call.
     """
+    return fisher_yates(n, iter(rng.integers(0, range(n, 1, -1)).tolist()))
+
+
+def fisher_yates(n: int, draws: Iterator[int]) -> Perm:
+    """The Fisher-Yates shuffle of range(n) that takes its n - 1 swap
+    positions from `draws`, the i-th uniform in [0, n - 1 - i]."""
     out = list(range(n))
-    draws = rng.integers(0, range(n, 1, -1)).tolist()
     for i, j in zip(range(n - 1, 0, -1), draws):
         out[i], out[j] = out[j], out[i]
     return tuple(out)

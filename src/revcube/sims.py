@@ -72,12 +72,11 @@ class StrongGenSet:
         """Divide off coset representatives level by level and return the
         residue: the identity exactly for members of the group (of the
         start-th stabilizer when start>0)."""
-        for lev in range(start, len(self.base)):
-            x = p[self.base[lev]]
-            ui = self.inv_transversal[lev].get(x)
-            if ui is None:
-                return p
-            p = p.translate(ui)
+        for b, inv in zip(self.base[start:], self.inv_transversal[start:]):
+            if (x := p[b]) != b:  # b's own representative is the identity
+                if (ui := inv.get(x)) is None:
+                    return p
+                p = p.translate(ui)
         return p
 
     def contains(self, p: Perm) -> bool:
@@ -148,16 +147,19 @@ class StrongGenSet:
 
     def check_structure(self) -> None:
         """Internal consistency: generators fix their prefix, representatives
-        hit their orbit point, inverses match."""
-        for lev in range(len(self.base)):
+        hit their orbit point, inverses match, and the base point's own
+        representative is the identity (_sift skips a level on that)."""
+        levels = zip(self.base, self.transversal, self.inv_transversal)
+        for lev, (b, t, ti) in enumerate(levels):
+            if t.get(b) != self._identity or ti.get(b) != self._identity:
+                raise AssertionError(f"level {lev} base representative is not identity")
             for g in self.gens[lev]:
-                for b in self.base[:lev]:
-                    if g[b] != b:
-                        raise AssertionError(f"level {lev} generator moves base")
-            for pt, u in self.transversal[lev].items():
-                if u[self.base[lev]] != pt:
+                if any(g[c] != c for c in self.base[:lev]):
+                    raise AssertionError(f"level {lev} generator moves base")
+            for pt, u in t.items():
+                if u[b] != pt:
                     raise AssertionError(f"representative for {pt} is wrong")
-                if u.translate(self.inv_transversal[lev][pt]) != self._identity:
+                if u.translate(ti[pt]) != self._identity:
                     raise AssertionError(f"inverse representative for {pt} is wrong")
 
 

@@ -1,8 +1,10 @@
 import io
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 
 from revcube import cli, cube, oracle, sims
@@ -346,3 +348,47 @@ def test_closed_stdout_exits_141_quietly():
         r = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, text=True)
         os.close(write_end)
         assert (r.returncode, r.stderr) == (141, ""), argv
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_transcript():
+    """(argv, output file or None, expected stdout lines) for each `$ revcube`
+    line of the README's command-line block, a trailing `# comment` removed.
+    The expected lines are those up to the next `$` line."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```text\n", 1)[1]
+    runs = []
+    for line in block.split("\n```", 1)[0].splitlines():
+        if line.startswith("$ "):
+            command, _, target = line[2:].partition(" > ")
+            argv = shlex.split(command, comments=True)
+            assert argv[0] == "revcube", line
+            runs.append((argv[1:], target.strip() or None, []))
+        else:
+            runs[-1][2].append(line)
+    return runs
+
+
+def test_readme_transcript(tmp_path, monkeypatch):
+    # each command runs in one directory, in order, so `> state.txt` feeds
+    # the lines after it; a `...` line stands for any run of lines
+    monkeypatch.chdir(tmp_path)
+    runs = readme_transcript()
+    assert len(runs) >= 10
+    for argv, target, want in runs:
+        r = run_cli(*argv)
+        assert r.stderr == "", argv
+        assert r.returncode == (1 if want and want[0].startswith("unsolvable:") else 0)
+        if target is not None:
+            (tmp_path / target).write_text(r.stdout)
+            assert want == [], argv
+            continue
+        got = r.stdout.splitlines()
+        if "..." in want:
+            head, tail = want[: want.index("...")], want[want.index("...") + 1 :]
+            assert got[: len(head)] == head, argv
+            assert got[len(got) - len(tail) :] == tail, argv
+        else:
+            assert got == want, argv

@@ -300,6 +300,26 @@ def test_wilson_interval():
     lo, hi = counting.wilson_interval(20, 100)
     assert lo == pytest.approx(0.133366, abs=1e-6)
     assert hi == pytest.approx(0.288831, abs=1e-6)
+    assert counting.wilson_interval(np.int64(20), np.int32(100)) == (lo, hi)
+
+
+@pytest.mark.parametrize(
+    "hits, n, name",
+    [
+        (0, 0, "n"),
+        (0, -3, "n"),
+        (0, True, "n"),
+        (1, 10.0, "n"),
+        (5, 3, "hits"),
+        (-1, 10, "hits"),
+        (True, 10, "hits"),
+        (2.0, 10, "hits"),
+        ("2", 10, "hits"),
+    ],
+)
+def test_wilson_interval_refuses_bad_counts(hits, n, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        counting.wilson_interval(hits, n)
 
 
 def test_sampled_states_obey_exact_probability(make_rng):

@@ -123,6 +123,14 @@ def test_check_structure_catches_corruption():
     s.transversal[0][pt] = s._identity
     with pytest.raises(AssertionError, match=f"^representative for {pt}"):
         s.check_structure()
+    # a base point's representative that fixes it but is not the identity
+    # passes the orbit and inverse checks; _sift would skip it wrongly
+    s, _ = s4()
+    b, g = s.base[0], s.gens[1][0]
+    s.transversal[0][b] = g
+    s.inv_transversal[0][b] = bytes.maketrans(g, s._identity)
+    with pytest.raises(AssertionError, match="level 0 base representative is not"):
+        s.check_structure()
     s, _ = s4()
     s.gens[1].append(next(g for g in s.gens[0] if g[s.base[0]] != s.base[0]))
     with pytest.raises(AssertionError, match="level 1 generator moves base"):
