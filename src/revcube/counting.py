@@ -28,7 +28,6 @@ from numbers import Integral
 from . import cube, oracle
 
 STREAM_SIZE = 1 << 16
-STREAMS_PER_THREAD = 4  # submitted, not yet collected: memory stays flat in n
 
 
 def _marked_only(factor: int, mode: str) -> int:
@@ -89,15 +88,15 @@ def exact_probability(mode: str = "marked") -> Fraction:
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 #
-# Samples are split into fixed-size streams; stream i is seeded from
-# (seed, spawn_key=(i,)) independently of how streams are scheduled, so the
-# estimate depends on (mode, n, seed) only, never on the worker count.
-# Solvability reads only the edge flip bits and the corner twists
-# (cube.solvable_by_invariants), and under the uniform law the placements
-# are independent of both, so a sample draws just those as two uniform
-# integers: x in [0, 2^24) (marked mode only, first), bit k edge k's flip,
-# then v in [0, 3^8), base-3 digit k corner k's twist.  The hit indicator
-# has the same law as for a full assembly drawn by cube.py's samplers.
+# Samples are split into fixed-size streams, stream i seeded from
+# (seed, spawn_key=(i,)).  Pool thread t runs one task over streams t,
+# t + threads, t + 2*threads, ..., so the work in flight is flat in n; integer
+# hit counts sum alike in any order, so the estimate depends on (mode, n, seed)
+# only.  Solvability reads only the edge flip bits and the corner twists
+# (cube.solvable_by_invariants), both independent of the placements under the
+# uniform law, so a sample draws just those as two uniform integers: x in
+# [0, 2^24) (marked mode only, first), bit k edge k's flip, then v in [0, 3^8),
+# base-3 digit k corner k's twist: hits have the law of cube.py's samplers.
 
 
 @cache
@@ -106,6 +105,13 @@ def _twists_pass():
     import numpy as np
     codes = np.arange(3**cube.NUM_CORNERS)
     return sum(codes // 3**k % 3 for k in range(cube.NUM_CORNERS)) % 3 == 0
+
+
+def _check_int(name: str, value: int, least: int, most: float = math.inf) -> None:
+    """ValueError naming `name` unless value is an integer in least..most (no bool)."""
+    if type(value) is bool or not isinstance(value, Integral) or not least <= value <= most:
+        span = f">= {least}" if most == math.inf else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def _stream_hits(mode: str, seed: int, index: int, count: int) -> int:
@@ -128,23 +134,21 @@ def estimate_probability(
     streams.  The standard error is sqrt(p(1-p)/n) at the estimate.  A bool,
     non-integer, n or workers below 1, or seed below 0 raises ValueError.
     """
-    from collections import deque
     from concurrent.futures import ThreadPoolExecutor  # only Monte Carlo pays for it
 
     cube._check_mode(mode)
     for name, value, least in (("n", n, 1), ("seed", seed, 0), ("workers", workers, 1)):
-        if type(value) is bool or not isinstance(value, Integral) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        _check_int(name, value, least)
     threads = min(workers, os.cpu_count() or 1)
-    hits = 0
+
+    def share(t: int) -> int:  # streams t, t + threads, t + 2*threads, ...
+        return sum(
+            _stream_hits(mode, seed, start // STREAM_SIZE, min(STREAM_SIZE, n - start))
+            for start in range(t * STREAM_SIZE, n, threads * STREAM_SIZE)
+        )
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for index, start in enumerate(range(0, n, STREAM_SIZE)):
-            if len(pending) == STREAMS_PER_THREAD * threads:
-                hits += pending.popleft().result()
-            size = min(STREAM_SIZE, n - start)
-            pending.append(pool.submit(_stream_hits, mode, seed, index, size))
-        hits += sum(f.result() for f in pending)
+        hits = sum(pool.map(share, range(threads)))
     p = Fraction(hits, n)
     stderr = math.sqrt(float(p) * (1.0 - float(p)) / n)
     return p, stderr
@@ -157,10 +161,8 @@ def wilson_interval(hits: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval (Wilson 1927) for `hits` successes in `n`
     trials.  Unlike the standard error it stays honest at 0 or n hits.  A bool,
     non-integer, n below 1, or hits outside 0..n raises ValueError."""
-    if type(n) is bool or not isinstance(n, Integral) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if type(hits) is bool or not isinstance(hits, Integral) or not 0 <= hits <= n:
-        raise ValueError(f"hits must be an integer in 0..{n}, got {hits!r}")
+    _check_int("n", n, 1)
+    _check_int("hits", hits, 0, n)
     z2 = WILSON_Z * WILSON_Z
     centre = hits + z2 / 2
     half = WILSON_Z * math.sqrt(hits * (n - hits) / n + z2 / 4)

@@ -278,26 +278,23 @@ def representative(cls: StateClass) -> CubeState:
 # random sampling
 
 
-# the bound of each draw, in the orders the two docstrings below give
-_ASSEMBLY_BOUNDS = [
-    *[2] * NUM_EDGES, *range(NUM_EDGES, 1, -1), *[3] * NUM_CORNERS,
-    *range(NUM_CORNERS, 1, -1), *range(NUM_CENTERS, 1, -1),
-]
+# the rows each mode draws, in _STATE_LINES order (no flip row in mechanical),
+# and their bounds: one per piece in a twist row, Fisher-Yates swap positions
+_DRAWN = {"marked": _STATE_LINES, "mechanical": _STATE_LINES[1:]}
+_DRAW_BOUNDS = {
+    mode: [b for _, n, k in lines for b in ([k] * n if k else range(n, 1, -1))]
+    for mode, lines in _DRAWN.items()
+}
 _RELABELING_BOUNDS = [2] * NUM_EDGE_PAIRS + [4, 3, 2] * NUM_CENTER_BLOCKS
 
 
 def random_assembly(rng: np.random.Generator, mode: str = "marked") -> CubeState:
-    """Uniform over the assemblies of `mode`, drawn in one call.  Draw order:
-    the 24 edge flip bits (marked mode only), edge permutation (Fisher-Yates
-    swap positions), corner twists, corner permutation, center permutation."""
+    """Uniform over the assemblies of `mode`, drawn in one call, row by row in
+    state-file order; in mechanical mode every flip bit is 0."""
     _check_mode(mode)
-    marked = mode == "marked"
-    d = iter(rng.integers(0, _ASSEMBLY_BOUNDS[0 if marked else NUM_EDGES :]).tolist())
-    ebits = tuple(islice(d, NUM_EDGES)) if marked else _IDENTITY_ROWS[0]
-    eperm = pm.fisher_yates(NUM_EDGES, d)
-    ctw = tuple(islice(d, NUM_CORNERS))
-    cperm = pm.fisher_yates(NUM_CORNERS, d)
-    return _from_rows(ebits, eperm, ctw, cperm, pm.fisher_yates(NUM_CENTERS, d))
+    d = iter(rng.integers(0, _DRAW_BOUNDS[mode]).tolist())
+    rows = [tuple(islice(d, n)) if k else pm.fisher_yates(n, d) for _, n, k in _DRAWN[mode]]
+    return _from_rows(*_IDENTITY_ROWS[: len(_STATE_LINES) - len(rows)], *rows)
 
 
 def random_relabeling(rng: np.random.Generator) -> CubeState:

@@ -132,34 +132,31 @@ def test_estimate_threads_bounded(monkeypatch):
 
 
 def test_estimate_streams_in_flight_bounded(monkeypatch):
-    # a spy on submission, not a huge n: 100 streams never have more than
-    # STREAMS_PER_THREAD per thread submitted and unfinished
+    # a spy on submission, not a huge n: 100 streams reach the pool as one
+    # task per thread, so what is in flight does not grow with n, and every
+    # stream runs exactly once
     import os
-    import time
     from concurrent.futures import ThreadPoolExecutor
 
     workers = 2
-    window = counting.STREAMS_PER_THREAD * min(workers, os.cpu_count() or 1)
-    submitted, finished = [], []
+    submitted, ran = [], []
 
     def stub(mode, seed, index, count):
-        time.sleep(0.001)
-        finished.append(index)
+        ran.append(index)
         return index % 2
 
     submit = ThreadPoolExecutor.submit
 
     def spy(self, fn, *args):
         submitted.append(args)
-        assert len(submitted) - len(finished) <= window
         return submit(self, fn, *args)
 
     monkeypatch.setattr(counting, "_stream_hits", stub)
     monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
     n = 100 * counting.STREAM_SIZE
     est, _ = counting.estimate_probability("mechanical", n, seed=1, workers=workers)
-    assert len(submitted) == 100
-    assert sorted(finished) == list(range(100))
+    assert len(submitted) == min(workers, os.cpu_count() or 1)
+    assert sorted(ran) == list(range(100))
     assert est == Fraction(50, n)
 
 
@@ -184,13 +181,16 @@ def test_estimate_close_to_exact():
 
 
 def test_estimate_partial_stream():
-    # n below one stream and n not a multiple of the stream size both work
+    # n below one stream and n not a multiple of the stream size both work,
+    # with 2 workers as with 1: one stream leaves the second thread idle, and
+    # of 4 streams the short last one falls to the second thread
     est, _ = counting.estimate_probability("mechanical", 1000, seed=3)
     assert 0 <= est <= 1
     assert 1000 % est.denominator == 0
-    a = counting.estimate_probability("mechanical", 70_000, seed=3)
-    b = counting.estimate_probability("mechanical", 70_000, seed=3, workers=2)
-    assert a == b
+    for n in (1000, 70_000, 3 * counting.STREAM_SIZE + 5):
+        a = counting.estimate_probability("mechanical", n, seed=3)
+        b = counting.estimate_probability("mechanical", n, seed=3, workers=2)
+        assert a == b, n
 
 
 def test_estimate_rejects_bad_args():
