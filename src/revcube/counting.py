@@ -95,8 +95,11 @@ def exact_probability(mode: str = "marked") -> Fraction:
 # only.  Solvability reads only the edge flip bits and the corner twists
 # (cube.solvable_by_invariants), both independent of the placements under the
 # uniform law, so a sample draws just those as two uniform integers: x in
-# [0, 2^24) (marked mode only, first), bit k edge k's flip, then v in [0, 3^8),
-# base-3 digit k corner k's twist: hits have the law of cube.py's samplers.
+# [0, 2^24) (marked mode only), bit k edge k's flip, then v in [0, 3^8), base-3
+# digit k corner k's twist.  A marked stream draws x for every sample first,
+# then v only for the samples whose edge pairs agree, in sample order: the
+# others miss whatever v is, and the v draws are iid and independent of x, so
+# hits keep the law of cube.py's samplers.
 
 
 @cache
@@ -117,12 +120,11 @@ def _check_int(name: str, value: int, least: int, most: float = math.inf) -> Non
 def _stream_hits(mode: str, seed: int, index: int, count: int) -> int:
     import numpy as np  # loaded by the first stream, not by the exact counts
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    if mode == "marked":
+    if mode == "marked":  # bit 2j of x ^ (x >> 1) set: pair (2j, 2j+1) differs
         x = rng.integers(0, 1 << cube.NUM_EDGES, size=count, dtype=np.uint32)
-    ok = _twists_pass()[rng.integers(0, 3**cube.NUM_CORNERS, size=count, dtype=np.uint16)]
-    if mode == "marked":
-        ok &= (x ^ (x >> 1)) & 0x555555 == 0  # bit 2j set: pair (2j, 2j+1) differs
-    return int(np.count_nonzero(ok))
+        count = int(np.count_nonzero((x ^ (x >> 1)) & 0x555555 == 0))  # pairs agree
+    v = rng.integers(0, 3**cube.NUM_CORNERS, size=count, dtype=np.uint16)
+    return int(np.count_nonzero(_twists_pass().take(v)))
 
 
 def estimate_probability(

@@ -51,11 +51,11 @@ def test_prob_mc_pinned():
     assert r.returncode == 0
     lines = r.stdout.splitlines()
     # pins from the scalar rebuild (tests/test_counting.py); ci95 is the
-    # textbook Wilson form at p = 7e-5, n = 1e5, z = 1.96
+    # textbook Wilson form at p = 8e-5, n = 1e5, z = 1.96
     assert lines == [
-        "estimate: 7/100000",
-        "stderr: 2.645659e-05",
-        "ci95: 3.390860e-05 1.445005e-04",
+        "estimate: 1/12500",
+        "stderr: 2.828314e-05",
+        "ci95: 4.053804e-05 1.578703e-04",
     ]
 
 

@@ -167,17 +167,18 @@ def test_estimate_pinned():
     assert est == Fraction(66_663, 200_000)
     assert f"{err:.6e}" == "1.054078e-03"
     est, err = counting.estimate_probability("marked", 100_000, seed=5, workers=2)
-    assert est == Fraction(7, 100_000)
-    assert f"{err:.6e}" == "2.645659e-05"
+    assert est == Fraction(8, 100_000)
+    assert f"{err:.6e}" == "2.828314e-05"
 
 
 def test_estimate_close_to_exact():
-    n = 300_000
-    p = float(counting.exact_probability("mechanical"))
-    est, err = counting.estimate_probability("mechanical", n, seed=13)
-    sigma = math.sqrt(p * (1 - p) / n)
-    assert abs(float(est) - p) < 4 * sigma
-    assert abs(err - sigma) < sigma / 10
+    # marked mode at 2^22 samples expects about 341 hits
+    for mode, n in (("mechanical", 300_000), ("marked", 1 << 22)):
+        p = float(counting.exact_probability(mode))
+        est, err = counting.estimate_probability(mode, n, seed=13)
+        sigma = math.sqrt(p * (1 - p) / n)
+        assert abs(float(est) - p) < 4 * sigma, mode
+        assert abs(err - sigma) < sigma / 10, mode
 
 
 def test_estimate_partial_stream():
@@ -244,16 +245,18 @@ def test_flip_rate_matches_pair_condition(make_rng):
 
 
 def test_stream_hits_match_scalar_predicate():
-    # draw one stream's packed integers from its seed, decode them in plain
-    # Python, give each sample piece placements from an independent
-    # generator, and judge it with CubeState: the vectorized predicate cannot
-    # drift from the scalar one, and the match under arbitrary placements
-    # shows neither reads them.  Seed 85's first 4096 marked samples hold 3
-    # hits, so the flip rule is exercised, not just the twist rule.
+    # draw one stream's packed integers from its seed in the stream's order,
+    # decode them in plain Python and judge each sample with CubeState: x for
+    # every sample (marked mode), then v for the samples whose edge pairs
+    # agree, in sample order.  Every other sample's twists and every sample's
+    # piece placements come from an independent generator, so the match shows
+    # _stream_hits reads neither, and the vectorized predicate cannot drift
+    # from the scalar one.  Seed 386's first 4096 marked samples hold 3 hits
+    # (4 agree), so the flip rule is exercised, not just the twist rule.
     from revcube.counting import _stream_hits
     from revcube.wreath import WreathElem
 
-    count, seed = 4096, 85
+    count, seed = 4096, 386
     place = np.random.Generator(np.random.PCG64(np.random.SeedSequence(99)))
 
     def perm_row(n):
@@ -267,10 +270,14 @@ def test_stream_hits_match_scalar_predicate():
             flips = rng.integers(0, 1 << 24, size=count, dtype=np.uint32).tolist()
         else:
             flips = [0] * count
-        twists = rng.integers(0, 3**8, size=count, dtype=np.uint16).tolist()
+        agree = [
+            all((x >> k) & 1 == (x >> k + 1) & 1 for k in range(0, 24, 2)) for x in flips
+        ]
+        twists = iter(rng.integers(0, 3**8, size=sum(agree), dtype=np.uint16).tolist())
 
         hits = 0
-        for x, v in zip(flips, twists):
+        for x, ok in zip(flips, agree):
+            v = next(twists) if ok else int(place.integers(0, 3**8))
             t = cube.CubeState(
                 WreathElem(2, tuple((x >> k) & 1 for k in range(24)), perm_row(24)),
                 WreathElem(3, tuple((v // 3**k) % 3 for k in range(8)), perm_row(8)),
