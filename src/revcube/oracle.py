@@ -7,8 +7,8 @@ blocks.  The group shape is the same (flip wreath x twist wreath x block
 permutations), only the sizes differ.  An element is one value of each of
 three axes, ((edge bits, edge perm), (corner twists, corner perm), center
 perm), and its rank is mixed radix over the axes.  The answers read the
-connected components of the ranks under the relabeling and licit
-generators, which are the double classes.
+connected components of the ranks, the double classes, under the generators'
+image tables, array products that a test checks against mini_mul.
 
 Everything here is deliberately self-contained: its own element encoding
 and multiplication, and subgroups built by filtering, by predicate and by
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -53,10 +53,6 @@ def _wmul(k: int, a: tuple, b: tuple) -> tuple:
     return tuple(tw), _compose(ap, bp)
 
 
-# the product of each axis; an element's product is componentwise
-_AXIS_MULS = (partial(_wmul, 2), partial(_wmul, 3), _compose)
-
-
 def _cycle(n: int, *points: int) -> tuple[int, ...]:
     """The permutation of range(n) taking each of points to the next, cyclically."""
     p = list(range(n))
@@ -66,8 +62,7 @@ def _cycle(n: int, *points: int) -> tuple[int, ...]:
 
 
 def mini_mul(a: MiniElem, b: MiniElem) -> MiniElem:
-    edges, corners, centers = _AXIS_MULS
-    return edges(a[0], b[0]), corners(a[1], b[1]), centers(a[2], b[2])
+    return _wmul(2, a[0], b[0]), _wmul(3, a[1], b[1]), _compose(a[2], b[2])
 
 
 @dataclass(frozen=True)
@@ -201,20 +196,25 @@ class MiniModel:
 
     def _image_tables(self, gens: Sequence[tuple[MiniElem, bool]]) -> list[list]:
         """Per (g, left) and per axis, the index of each value's product with
-        g's component, g*t with left and t*g without: the product is
-        componentwise, so the three tables map every rank to its image."""
+        g's component, g*t with left and t*g without, from array products on
+        the whole axis: an image's index is the rank of its (perm, twists) key."""
         import numpy as np
 
-        axes = [
-            (mul, values, {v: i for i, v in enumerate(values)})
-            for mul, values in zip(_AXIS_MULS, self._axes)
-        ]
+        def split(values, k):  # (twists, perm) arrays; a center perm has twists 0 mod 1
+            a = np.array(values, dtype=np.int64)
+            return (np.zeros_like(a), a) if k == 1 else (a[..., 0, :], a[..., 1, :])
 
-        def table(x, mul, values, index, left):
-            if x == values[0]:  # the identity component
-                return np.arange(len(values))
-            return np.array([index[mul(x, v) if left else mul(v, x)] for v in values])
+        def table(x, tw, p, k, left):
+            xtw, xp = split(x, k)
+            if left:  # as _wmul: a*b has twists a.tw + b.tw[a.p^-1] and perm a.p[b.p]
+                tw, p = (xtw + tw[:, np.argsort(xp)]) % k, xp[p]
+            else:
+                tw, p = (tw + xtw[np.argsort(p, axis=1)]) % k, p[:, xp]
+            n = p.shape[1]  # the products permute the axis, which _axes sorts by key
+            key = p @ n ** np.arange(n)[::-1] * k**n + tw @ k ** np.arange(n)[::-1]
+            return key.argsort().argsort()
 
+        axes = [(*split(values, k), k) for values, k in zip(self._axes, (2, 3, 1))]
         return [[table(x, *axis, left) for x, axis in zip(g, axes)] for g, left in gens]
 
     @cached_property

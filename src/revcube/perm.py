@@ -4,17 +4,15 @@ A permutation p of degree n is a tuple (p(0), ..., p(n-1)).  Composition is
 right to left throughout the package: compose(p, q) applies q first, so
 compose(p, q)(i) == p(q(i)).  Indices are 0-based everywhere.
 
-Uniform sampling is an explicit Fisher-Yates swap shuffle driven by a numpy
-Generator, so a fixed seed reproduces the same permutation.
+Uniform sampling is an explicit Fisher-Yates swap shuffle that takes its
+swap positions from the caller's draws, so a fixed seed reproduces the same
+permutation.
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-from typing import TYPE_CHECKING, Iterator, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -96,15 +94,6 @@ def sign(p: Perm) -> int:
     A cycle of length L is L - 1 transpositions.
     """
     return -1 if sum(len(c) - 1 for c in cycles(p)) % 2 else 1
-
-
-def random_perm(n: int, rng: np.random.Generator) -> Perm:
-    """Uniform random permutation via the Fisher-Yates swap shuffle.
-
-    Exactly uniform over all n! permutations and deterministic given the
-    generator state; one bounded integer per step, all drawn in one call.
-    """
-    return fisher_yates(n, iter(rng.integers(0, range(n, 1, -1)).tolist()))
 
 
 def fisher_yates(n: int, draws: Iterator[int]) -> Perm:

@@ -61,12 +61,10 @@ class WreathElem:
         """Group product; other acts first."""
         if self.k != other.k:
             raise ValueError(f"modulus mismatch: {self.k} vs {other.k}")
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        perm = pm.compose(self.perm, other.perm)  # raises on a degree mismatch
         tw = list(self.twists)
         for i, j in enumerate(self.perm):
             tw[j] = (self.twists[j] + other.twists[i]) % self.k
-        perm = pm.compose(self.perm, other.perm)
         return _trusted(WreathElem, k=self.k, twists=tuple(tw), perm=perm)
 
     def inverse(self) -> "WreathElem":

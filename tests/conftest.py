@@ -3,7 +3,13 @@ import time
 import numpy as np
 import pytest
 
-from revcube import cube, sims
+from revcube import cube, perm, sims
+
+
+def random_perm(n: int, rng: np.random.Generator) -> perm.Perm:
+    """A uniform permutation of range(n): the Fisher-Yates shuffle on one
+    call's draws, the i-th in [0, n - 1 - i], as the samplers draw."""
+    return perm.fisher_yates(n, iter(rng.integers(0, range(n, 1, -1)).tolist()))
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ import pytest
 from revcube import cube, geometry, perm
 from revcube.wreath import WreathElem
 
+from conftest import random_perm
+
 IDENT = cube.identity_state()
 MOVES = list(cube.Move)
 
@@ -168,9 +170,9 @@ def test_any_permutation_alone_is_solvable(make_rng):
     rng = make_rng(304)
     for _ in range(50):
         t = cube.CubeState(
-            WreathElem(2, (0,) * 24, perm.random_perm(24, rng)),
-            WreathElem(3, (0,) * 8, perm.random_perm(8, rng)),
-            perm.random_perm(24, rng),
+            WreathElem(2, (0,) * 24, random_perm(24, rng)),
+            WreathElem(3, (0,) * 8, random_perm(8, rng)),
+            random_perm(24, rng),
         )
         assert cube.is_solvable(t)
 

@@ -115,6 +115,8 @@ ORACLE_ROWS = {
     # two center blocks: |I| = 2^pairs * 24^2 and |I & L| = 24^2 / 2
     (1, 1, 2): (9, 3, 967680, Fraction(1, 6), Fraction(1, 3)),
     (0, 2, 2): (3, 3, 725760, Fraction(1, 3), Fraction(1, 3)),
+    (1, 2, 2): (9, 3, 5806080, Fraction(1, 6), Fraction(1, 3)),
+    (0, 3, 2): (3, 3, 6531840, Fraction(1, 3), Fraction(1, 3)),
     # no corners: no twist to carry, so the flip-free part is one class
     (2, 0, 1): (9, 1, 9216, Fraction(1, 4), Fraction(1)),
     (2, 3, 1): (27, 3, 1492992, Fraction(1, 12), Fraction(1, 3)),
@@ -186,9 +188,10 @@ def test_ranks_decode_in_element_order(shape):
     ]
 
 
-@pytest.mark.parametrize("shape", [(1, 2, 1), (2, 1, 1)])
+@pytest.mark.parametrize("shape", [(1, 2, 1), (2, 1, 1), (0, 0, 2)])
 def test_image_tables_are_products(shape, make_rng):
-    # relabeling generators act on the left, licit ones on the right
+    # relabeling generators act on the left, licit ones on the right; (0, 0, 2)
+    # has empty edge and corner axes and two center blocks
     m = oracle.MiniModel(*shape)
     elements = list(itertools.product(*m._axes))
     rank = {t: r for r, t in enumerate(elements)}

@@ -1,9 +1,11 @@
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from revcube import perm
+
+from conftest import random_perm
 
 
 def test_identity():
@@ -26,8 +28,8 @@ def test_compose_inverse_random(make_rng):
     rng = make_rng(101)
     for _ in range(200):
         n = int(rng.integers(1, 30))
-        p = perm.random_perm(n, rng)
-        q = perm.random_perm(n, rng)
+        p = random_perm(n, rng)
+        q = random_perm(n, rng)
         assert perm.compose(p, perm.inverse(p)) == perm.identity(n)
         assert perm.compose(perm.inverse(p), p) == perm.identity(n)
         assert perm.inverse(perm.compose(p, q)) == perm.compose(
@@ -39,9 +41,9 @@ def test_associativity_random(make_rng):
     rng = make_rng(102)
     for _ in range(100):
         n = int(rng.integers(1, 20))
-        p = perm.random_perm(n, rng)
-        q = perm.random_perm(n, rng)
-        r = perm.random_perm(n, rng)
+        p = random_perm(n, rng)
+        q = random_perm(n, rng)
+        r = random_perm(n, rng)
         assert perm.compose(perm.compose(p, q), r) == perm.compose(
             p, perm.compose(q, r)
         )
@@ -81,8 +83,8 @@ def test_sign_multiplicative(make_rng):
     rng = make_rng(103)
     for _ in range(100):
         n = int(rng.integers(2, 25))
-        p = perm.random_perm(n, rng)
-        q = perm.random_perm(n, rng)
+        p = random_perm(n, rng)
+        q = random_perm(n, rng)
         assert perm.sign(perm.compose(p, q)) == perm.sign(p) * perm.sign(q)
     assert perm.sign((0, 1, 5, 3, 4, 2, 6, 7)) == -1  # swaps 2 and 5
 
@@ -98,7 +100,7 @@ def test_cycles_random(make_rng):
     rng = make_rng(104)
     for _ in range(100):
         n = int(rng.integers(1, 20))
-        p = perm.random_perm(n, rng)
+        p = random_perm(n, rng)
         cyc = perm.cycles(p)
         points = [x for c in cyc for x in c]
         assert sorted(points) == [i for i in range(n) if p[i] != i]
@@ -108,22 +110,18 @@ def test_cycles_random(make_rng):
 
 
 def test_random_perm_pinned(make_rng):
+    # the test helper's draws: seeded test inputs stay the same across changes
     rng = make_rng(42)
-    assert perm.random_perm(10, rng) == (1, 8, 7, 9, 4, 2, 3, 5, 6, 0)
-    assert perm.random_perm(10, rng) == (2, 9, 1, 6, 3, 8, 5, 7, 4, 0)
-    assert perm.random_perm(10, rng) == (6, 0, 5, 3, 7, 1, 2, 9, 4, 8)
+    assert random_perm(10, rng) == (1, 8, 7, 9, 4, 2, 3, 5, 6, 0)
+    assert random_perm(10, rng) == (2, 9, 1, 6, 3, 8, 5, 7, 4, 0)
+    assert random_perm(10, rng) == (6, 0, 5, 3, 7, 1, 2, 9, 4, 8)
 
 
-def test_random_perm_uniform_on_s3(make_rng):
-    # 1e5 draws over the 6 elements of S3, each within 5 sigma of the mean
-    rng = make_rng(105)
-    draws = 100_000
-    counts = {}
-    for _ in range(draws):
-        p = perm.random_perm(3, rng)
-        counts[p] = counts.get(p, 0) + 1
-    assert len(counts) == 6
-    mean = draws / 6
-    sigma = math.sqrt(draws * (1 / 6) * (5 / 6))
-    for got in counts.values():
-        assert abs(got - mean) < 5 * sigma
+def test_fisher_yates_is_a_bijection_onto_sn():
+    # the n! draw sequences for the bounds n, n-1, ..., 2, which the samplers
+    # draw uniformly, give every permutation exactly once: the shuffle is uniform
+    for n in range(7):
+        draws = product(*map(range, range(n, 1, -1)))
+        perms = [perm.fisher_yates(n, iter(d)) for d in draws]
+        assert len(perms) == math.factorial(n)
+        assert set(perms) == set(permutations(range(n)))

@@ -7,6 +7,8 @@ import pytest
 from revcube import counting, cube, perm, sims
 from revcube.wreath import WreathElem
 
+from conftest import random_perm
+
 
 def bsgs_order(gens):
     return sims.build_bsgs(gens).order()
@@ -48,10 +50,10 @@ def test_membership_small():
 
 def test_generator_order_does_not_change_group(make_rng):
     rng = make_rng(601)
-    gens = [perm.random_perm(9, rng) for _ in range(4)]
+    gens = [random_perm(9, rng) for _ in range(4)]
     want = bsgs_order(gens)
     for _ in range(5):
-        idx = perm.random_perm(len(gens), rng)
+        idx = random_perm(len(gens), rng)
         shuffled = [gens[i] for i in idx]
         assert bsgs_order(shuffled) == want
 
@@ -62,7 +64,7 @@ def test_against_library_groups(make_rng):
     for _ in range(15):
         n = int(rng.integers(4, 10))
         k = int(rng.integers(1, 4))
-        gens = [perm.random_perm(n, rng) for _ in range(k)]
+        gens = [random_perm(n, rng) for _ in range(k)]
         ours = bsgs_order(gens)
         theirs = sympy.PermutationGroup(
             [sympy.Permutation(list(g)) for g in gens]
@@ -86,7 +88,7 @@ def test_contains_agrees_with_closure(make_rng):
     rng = make_rng(607)
     for _ in range(20):
         n = int(rng.integers(1, 7))
-        gens = [perm.random_perm(n, rng) for _ in range(int(rng.integers(1, 3)))]
+        gens = [random_perm(n, rng) for _ in range(int(rng.integers(1, 3)))]
         s = sims.build_bsgs(gens)
         group = _closure(gens, n)
         assert s.order() == len(group)
@@ -102,7 +104,7 @@ def test_degree_limit():
 
 def test_check_structure_small(make_rng):
     rng = make_rng(603)
-    gens = [perm.random_perm(8, rng) for _ in range(3)]
+    gens = [random_perm(8, rng) for _ in range(3)]
     s = sims.build_bsgs(gens)
     s.check_structure()
     assert all(s.contains(g) for g in gens)

@@ -4,10 +4,12 @@ import pytest
 from revcube import perm
 from revcube.wreath import WreathElem
 
+from conftest import random_perm
+
 
 def random_elem(k, n, rng):
     twists = tuple(int(rng.integers(0, k)) for _ in range(n))
-    return WreathElem(k, twists, perm.random_perm(n, rng))
+    return WreathElem(k, twists, random_perm(n, rng))
 
 
 def test_validation():
@@ -30,7 +32,7 @@ def test_validation():
     # products check that their operands live in the same group
     with pytest.raises(ValueError):
         WreathElem.identity(2, 3) * WreathElem.identity(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree mismatch: 3 vs 2"):
         WreathElem.identity(2, 3) * WreathElem.identity(2, 2)
 
 
