@@ -158,7 +158,7 @@ def preserves_marking(t: CubeState) -> bool:
     These are exactly the assemblies a physical cube can be put into, so
     "mechanically admissible" means the same thing.
     """
-    return all(b == 0 for b in t.edges.twists)
+    return not any(t.edges.twists)
 
 
 def characteristic(t: CubeState) -> tuple[int, int]:

@@ -8,7 +8,8 @@ permutations), only the sizes differ.  An element is one value of each of
 three axes, ((edge bits, edge perm), (corner twists, corner perm), center
 perm), and its rank is mixed radix over the axes.  The answers read the
 connected components of the ranks, the double classes, under the generators'
-image tables, array products that a test checks against mini_mul.
+image tables, array products that a test checks against mini_mul; each
+subgroup's generator closure is a breadth-first search over the same tables.
 
 Everything here is deliberately self-contained: its own element encoding
 and multiplication, and subgroups built by filtering, by predicate and by
@@ -135,25 +136,19 @@ class MiniModel:
     def relabelings(self) -> list[MiniElem]:
         """The relabeling subgroup, enumerated constructively: per edge pair
         fix-or-swap, per block any of the 24 placements."""
-        pair_choices = [
-            (((0, 0), (2 * k, 2 * k + 1)), ((1, 1), (2 * k + 1, 2 * k)))  # fix, swap
-            for k in range(self.pairs)
+        fix_or_swap = [
+            [((0, 0), (2 * k, 2 * k + 1)), ((1, 1), (2 * k + 1, 2 * k))] for k in range(self.pairs)
+        ]
+        placements = [
+            [tuple(4 * k + x for x in p) for p in itertools.permutations(range(4))]
+            for k in range(self.blocks)
         ]
         corners = self.identity()[1]
-        out = []
-        for picks in itertools.product(*pair_choices):
-            eb, ep = [], []
-            for bits, imgs in picks:
-                eb.extend(bits)
-                ep.extend(imgs)
-            for blocks in itertools.product(
-                itertools.permutations(range(4)), repeat=self.blocks
-            ):
-                zp = []
-                for k, blk in enumerate(blocks):
-                    zp.extend(4 * k + x for x in blk)
-                out.append(((tuple(eb), tuple(ep)), corners, tuple(zp)))
-        return out
+        return [
+            ((sum((b for b, _ in es), ()), sum((p for _, p in es), ())), corners, sum(zs, ()))
+            for es in itertools.product(*fix_or_swap)
+            for zs in itertools.product(*placements)
+        ]
 
     def licit_elements(self) -> list[MiniElem]:
         """The licit subgroup by filtering the flip-free axis values."""
@@ -194,10 +189,12 @@ class MiniModel:
 
     # -- exhaustive answers ---------------------------------------------------
 
-    def _image_tables(self, gens: Sequence[tuple[MiniElem, bool]]) -> list[list]:
-        """Per (g, left) and per axis, the index of each value's product with
-        g's component, g*t with left and t*g without, from array products on
-        the whole axis: an image's index is the rank of its (perm, twists) key."""
+    @cached_property
+    def _tables(self) -> tuple[list, list]:
+        """Per relabeling generator g and per licit generator l (two lists)
+        and per axis, the index of each value's product with its component,
+        g*t and t*l, from array products on the whole axis: an image's index
+        is the rank of its (perm, twists) key."""
         import numpy as np
 
         def split(values, k):  # (twists, perm) arrays; a center perm has twists 0 mod 1
@@ -215,7 +212,10 @@ class MiniModel:
             return key.argsort().argsort()
 
         axes = [(*split(values, k), k) for values, k in zip(self._axes, (2, 3, 1))]
-        return [[table(x, *axis, left) for x, axis in zip(g, axes)] for g, left in gens]
+        sides = (self.relabeling_generators(), True), (self.licit_generators(), False)
+        return tuple(
+            [[table(x, *a, left) for x, a in zip(g, axes)] for g in gens] for gens, left in sides
+        )
 
     @cached_property
     def _components(self):
@@ -223,9 +223,7 @@ class MiniModel:
         relabeling generators and right products with the licit generators:
         the double classes I\\G/L.  A label is its component's least rank, so
         I*L, the solvable set, is label 0."""
-        gens = [(g, True) for g in self.relabeling_generators()]
-        gens += [(l, False) for l in self.licit_generators()]
-        return _label_components(self._image_tables(gens), tuple(map(len, self._axes)))
+        return _label_components(sum(self._tables, []), tuple(map(len, self._axes)))
 
     def _labels(self, flip_free: bool):
         """The labels of G, or of its flip-free part F, the slice of flip
@@ -261,27 +259,38 @@ class MiniModel:
         labels = self._labels(flip_free)
         return Fraction(int((labels == 0).sum()), labels.size)
 
+    def _closure(self, gens: Sequence[Sequence]) -> set[int]:
+        """The ranks of the subgroup spanned by the generators whose image
+        tables are gens: breadth-first from the identity's rank 0."""
+        import numpy as np
+
+        shape = tuple(map(len, self._axes))
+        seen = np.zeros(math.prod(shape), dtype=bool)
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            seen[frontier] = True
+            digits = np.unravel_index(frontier, shape)
+            images = [np.ravel_multi_index([t[d] for t, d in zip(g, digits)], shape) for g in gens]
+            images = np.unique(images)
+            frontier = images[~seen[images]]
+        return set(seen.nonzero()[0].tolist())
+
     def check_subgroup_constructions(self) -> None:
         """The three routes to each subgroup must agree: direct construction
-        or filter, membership predicate, and generator closure."""
+        or filter, membership predicate, and generator closure on the ranks."""
         relabel = self.relabelings()
-        rset = set(relabel)
-        if len(rset) != len(relabel) or len(rset) != 2**self.pairs * 24**self.blocks:
+        if len(set(relabel)) != len(relabel) or len(relabel) != 2**self.pairs * 24**self.blocks:
             raise AssertionError("relabeling enumeration has the wrong size")
         if not all(self.is_relabeling(t) for t in relabel):
             raise AssertionError("relabeling filter disagrees with construction")
-        if rset != _closure(self.relabeling_generators(), self.identity()):
-            raise AssertionError("relabeling generators do not close correctly")
-        licit = set(self.licit_elements())
+        licit = self.licit_elements()
         if not all(self.is_licit(t) for t in licit):
             raise AssertionError("licit filter disagrees with predicate")
-        if licit != _closure(self.licit_generators(), self.identity()):
-            raise AssertionError("licit generators do not close correctly")
-
-
-def _closure(gens: Sequence[MiniElem], e: MiniElem) -> set[MiniElem]:
-    """The subgroup generated by gens: e's orbit under right multiplication."""
-    return set(orbits([e], gens, lambda g, x: mini_mul(x, g))[0])
+        ie, ic, iz = ({v: i for i, v in enumerate(values)} for values in self._axes)
+        for name, elements, tables in zip(("relabeling", "licit"), (relabel, licit), self._tables):
+            ranks = {(ie[e] * len(ic) + ic[c]) * len(iz) + iz[z] for e, c, z in elements}
+            if ranks != self._closure(tables):
+                raise AssertionError(f"{name} generators do not close correctly")
 
 
 def _label_components(maps: Sequence[Sequence], shape: tuple[int, ...]):

@@ -16,6 +16,9 @@ elements are valid by the group law and are built without re-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
+from operator import getitem
 
 from . import perm as pm
 
@@ -78,17 +81,20 @@ class WreathElem:
         only reindexes the summands."""
         return sum(self.twists) % self.k
 
-    def to_point_perm(self) -> tuple[int, ...]:
+    def to_point_perm(self, first: int = 0) -> tuple[int, ...]:
         """Faithful permutation of the n*k sticker points.
 
         Point i*k + b is sticker b of piece i; it maps to perm[i]*k + (b +
-        twists[perm[i]]) mod k.  This is an injective homomorphism, so group
-        facts can be checked on plain permutations.
-        """
-        k = self.k
-        out = [0] * (self.degree * k)
-        for i, j in enumerate(self.perm):
-            t = self.twists[j]
-            for b in range(k):
-                out[i * k + b] = j * k + (b + t) % k
-        return tuple(out)
+        twists[perm[i]]) mod k, plus first, which places the images as a
+        block of a larger permutation.  At first=0 this is an injective
+        homomorphism, so group facts can be checked on plain permutations."""
+        lands = tuple(map(getitem, _landings(self.k, self.degree, first), self.twists))
+        return tuple(chain.from_iterable(map(lands.__getitem__, self.perm)))
+
+
+@cache
+def _landings(k: int, n: int, first: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per piece j < n and twist t < k, the k sticker points that piece j,
+    twisted by t, lands on: first + j*k + (b + t) mod k for b in range(k)."""
+    pieces = (tuple(range(first + j * k, first + j * k + k)) for j in range(n))
+    return tuple(tuple(p[t:] + p[:t] for t in range(k)) for p in pieces)

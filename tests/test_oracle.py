@@ -87,6 +87,32 @@ def test_mini_subgroup_constructions():
     oracle.MiniModel(2, 0, 1).check_subgroup_constructions()
 
 
+def _reference_closure(gens, e):
+    """The subgroup generated by gens: e's orbit under right products with
+    mini_mul, element by element."""
+    return set(oracle.orbits([e], gens, lambda g, x: oracle.mini_mul(x, g))[0])
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (2, 2, 1), (0, 2, 2), (1, 1, 2)], ids=lambda s: "-".join(map(str, s))
+)
+def test_rank_closure_matches_reference(shape):
+    # the breadth-first closure on the rank tables spans the same subgroups
+    # as the per-element orbit of the identity under mini_mul
+    m = oracle.MiniModel(*shape)
+    for gens, tables in zip((m.relabeling_generators(), m.licit_generators()), m._tables):
+        digits = zip(*np.unravel_index(sorted(m._closure(tables)), tuple(map(len, m._axes))))
+        got = {tuple(values[d] for values, d in zip(m._axes, ds)) for ds in digits}
+        assert got == _reference_closure(gens, m.identity())
+
+
+def test_subgroup_check_fails_without_a_licit_generator(monkeypatch):
+    licit_generators = oracle.MiniModel.licit_generators
+    monkeypatch.setattr(oracle.MiniModel, "licit_generators", lambda m: licit_generators(m)[1:])
+    with pytest.raises(AssertionError, match="licit generators do not close correctly"):
+        oracle.MiniModel(2, 2, 1).check_subgroup_constructions()
+
+
 def test_mini_relabeling_count():
     # 2^pairs pair choices times 24 placements per block
     assert len(oracle.MiniModel(1, 1, 1).relabelings()) == 2 * 24
@@ -199,7 +225,7 @@ def test_image_tables_are_products(shape, make_rng):
     gens += [(l, False) for l in m.licit_generators()]
     shape3 = tuple(map(len, m._axes))
     rng = make_rng(1701)
-    for (g, left), tables in zip(gens, m._image_tables(gens)):
+    for (g, left), tables in zip(gens, sum(m._tables, [])):
         for r in rng.integers(0, len(elements), size=200):
             t = elements[r]
             want = rank[oracle.mini_mul(g, t) if left else oracle.mini_mul(t, g)]

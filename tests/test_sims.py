@@ -165,6 +165,19 @@ def test_embed_faithful_on_fibres():
     assert sims.embed(flip) != sims.embed(twist)
 
 
+def test_embed_layout_centers_first(slice_group, make_rng):
+    # centers are points 0..23, so the smallest point moved, and with it the
+    # first base point, is a center; edge and corner stickers follow as blocks
+    rng = make_rng(607)
+    for _ in range(20):
+        t = cube.random_assembly(rng)
+        p = sims.embed(t)
+        assert p[:24] == t.centers
+        assert p[24:72] == tuple(24 + x for x in t.edges.to_point_perm())
+        assert p[72:] == tuple(72 + x for x in t.corners.to_point_perm())
+    assert slice_group.base[0] < 24
+
+
 def test_slice_group_order(slice_group):
     assert slice_group.order() == counting.num_licit()
 
@@ -183,7 +196,7 @@ def test_slice_group_tables_pinned(slice_group):
         [[(pt, cut(u)) for pt, u in t.items()] for t in slice_group.inv_transversal],
     )
     digest = hashlib.sha256(repr(tables).encode()).hexdigest()
-    assert digest == "9e32ff4afb0aeeef72ddde2b106905da9ac1a190a6d1190fe0ef0bcb500e813d"
+    assert digest == "a25b2dd97b8b93ad64253115a59feaef6996b9fdd5e5d56b76cdd5ff14ce305f"
 
 
 def test_slice_group_structure(slice_group):

@@ -109,6 +109,22 @@ def test_to_point_perm_is_homomorphism(make_rng):
             )
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 8, 24, 31])
+def test_to_point_perm_matches_formula(k, n, make_rng):
+    # the docstring's formula, point by point, at any degree; first shifts
+    # every image and leaves the map otherwise unchanged
+    rng = make_rng(207)
+    for _ in range(10):
+        g = random_elem(k, n, rng)
+        want = [0] * (n * k)
+        for i in range(n):
+            for b in range(k):
+                want[i * k + b] = g.perm[i] * k + (b + g.twists[g.perm[i]]) % k
+        assert g.to_point_perm() == tuple(want)
+        assert g.to_point_perm(5) == tuple(5 + x for x in want)
+
+
 def test_to_point_perm_faithful(make_rng):
     rng = make_rng(206)
     seen = {}
