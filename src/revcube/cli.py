@@ -21,6 +21,7 @@ EXIT_UNSOLVABLE = 1
 EXIT_BAD_INPUT = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+STATE_FILE_LIMIT = 2**20  # characters read from a state file; more is invalid input
 
 
 def _fail(message: str) -> NoReturn:
@@ -64,11 +65,13 @@ def _seed_from(args: argparse.Namespace) -> int:
 def _read_state(path: str) -> cube.CubeState:
     try:
         with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+            text = fh.read(STATE_FILE_LIMIT + 1)
     except OSError as e:
         _fail(f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError as e:
         _fail(f"{path}: non-ASCII byte 0x{e.object[e.start]:02x} at offset {e.start}")
+    if len(text) > STATE_FILE_LIMIT:
+        _fail(f"{path}: longer than {STATE_FILE_LIMIT} characters")
     try:
         return cube.parse_state(text)
     except ValueError as e:

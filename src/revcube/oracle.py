@@ -295,27 +295,26 @@ class MiniModel:
 
 def _label_components(maps: Sequence[Sequence], shape: tuple[int, ...]):
     """Least-rank labels of the connected components of an array of the
-    given shape under maps, each one index table per axis, and their
-    inverses: min-label propagation along every map, then pointer jumping,
-    until a whole round changes nothing (Shiloach & Vishkin 1982)."""
+    given shape under maps, each one index table per axis: min-label
+    propagation along each map, forward only, then pointer jumping, until a
+    round changes nothing (Shiloach & Vishkin 1982).  At that fixed point
+    labels[x] <= labels[g x] around each finite cycle of g, so labels are
+    constant on components, and the least rank keeps its own label."""
     import numpy as np
 
-    steps = []  # per map and per inverse, (axis, table) on the axes it moves
-    for tables in maps:
-        moved = [(a, t) for a, t in enumerate(tables) if (t != np.arange(len(t))).any()]
-        steps += [moved, [(a, np.argsort(t)) for a, t in moved]]
+    # per map, (axis, table) on the axes it moves
+    steps = [[(a, t) for a, t in enumerate(ts) if (t != np.arange(len(t))).any()] for ts in maps]
     labels = np.arange(math.prod(shape), dtype=np.int32).reshape(shape)
+    flat = labels.ravel()
     while True:
-        before = labels
+        before = labels.copy()
         for step in steps:
             image = labels
             for axis, table in step:
                 image = image.take(table, axis)
-            labels = np.minimum(labels, image)
-        flat = labels.ravel()
+            np.minimum(labels, image, out=labels)
         while not np.array_equal(flat, jumped := flat[flat]):
-            flat = jumped
-        labels = flat.reshape(shape)
+            flat[:] = jumped
         if np.array_equal(labels, before):
             return labels
 

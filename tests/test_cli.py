@@ -239,6 +239,18 @@ def test_long_token_is_a_positioned_error(tmp_path):
     assert len(line) < 120 and "5000" in line
 
 
+def test_oversized_state_file_is_refused(tmp_path):
+    # at most STATE_FILE_LIMIT characters are read, so an endless file ends too
+    big = tmp_path / "big.txt"
+    with open(big, "wb") as fh:
+        fh.truncate(cli.STATE_FILE_LIMIT + 1)  # sparse: NUL bytes read back
+    paths = [big] + [p for p in ("/dev/zero",) if os.path.exists(p)]
+    for path in paths:
+        r = run_cli("solvable", str(path))
+        assert_bad_input(r)
+        assert r.stderr == f"error: {path}: longer than {cli.STATE_FILE_LIMIT} characters\n"
+
+
 def test_invariant_canonical_round_trip(tmp_path):
     r = run_cli("random-assembly", "--seed", "12")
     state = tmp_path / "state.txt"

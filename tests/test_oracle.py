@@ -94,7 +94,7 @@ def _reference_closure(gens, e):
 
 
 @pytest.mark.parametrize(
-    "shape", [(1, 1, 1), (2, 2, 1), (0, 2, 2), (1, 1, 2)], ids=lambda s: "-".join(map(str, s))
+    "shape", [(1, 1, 1), (2, 2, 1), (0, 0, 2), (1, 1, 2)], ids=lambda s: "-".join(map(str, s))
 )
 def test_rank_closure_matches_reference(shape):
     # the breadth-first closure on the rank tables spans the same subgroups
@@ -159,6 +159,29 @@ def test_mini_oracle_answers(shape):
     assert m.sweep_closed_form() == (total, 0)
     assert m.solvable_probability() == p
     assert m.solvable_probability(flip_free=True) == p_free
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (0, 2, 1), (0, 3, 1), (2, 0, 1)], ids=lambda s: "-".join(map(str, s))
+)
+def test_component_labels_match_reference(shape):
+    # each rank's label is the least rank of its orbit under mini_mul, with the
+    # relabeling generators on the left and the licit ones on the right;
+    # (0, 3, 1) has corner 3-cycles, so some maps have order 3
+    m = oracle.MiniModel(*shape)
+    elements = list(itertools.product(*m._axes))
+    rank = {t: r for r, t in enumerate(elements)}
+    gens = [(g, True) for g in m.relabeling_generators()]
+    gens += [(l, False) for l in m.licit_generators()]
+
+    def act(gen, r):
+        g, left = gen
+        return rank[oracle.mini_mul(g, elements[r]) if left else oracle.mini_mul(elements[r], g)]
+
+    want = np.empty(len(elements), dtype=np.int64)
+    for orbit in oracle.orbits(range(len(elements)), gens, act):
+        want[list(orbit)] = orbit[0]
+    assert np.array_equal(m._components.ravel(), want)
 
 
 def test_mini_answers_share_one_enumeration(monkeypatch):
