@@ -39,7 +39,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import geometry
 from . import perm as pm
@@ -288,11 +288,24 @@ _DRAW_BOUNDS = {
 _RELABELING_BOUNDS = [2] * NUM_EDGE_PAIRS + [4, 3, 2] * NUM_CENTER_BLOCKS
 
 
-def random_assembly(rng: np.random.Generator, mode: str = "marked") -> CubeState:
-    """Uniform over the assemblies of `mode`, drawn in one call, row by row in
-    state-file order; in mechanical mode every flip bit is 0."""
+def random_assemblies(
+    rng: np.random.Generator, n: int, mode: str = "marked"
+) -> Iterator[CubeState]:
+    """n assemblies uniform over those of `mode`, drawn in one call and
+    decoded one at a time, row by row in state-file order; in mechanical mode
+    every flip bit is 0.  They are the same assemblies, in order, as n
+    random_assembly calls on the same generator make."""
     _check_mode(mode)
-    d = iter(rng.integers(0, _DRAW_BOUNDS[mode]).tolist())
+    high = _DRAW_BOUNDS[mode]
+    return (_decode(mode, iter(d.tolist())) for d in rng.integers(0, high, size=(n, len(high))))
+
+
+def random_assembly(rng: np.random.Generator, mode: str = "marked") -> CubeState:
+    """One assembly uniform over those of `mode` (see random_assemblies)."""
+    return next(random_assemblies(rng, 1, mode))
+
+
+def _decode(mode: str, d: Iterator[int]) -> CubeState:
     rows = [tuple(islice(d, n)) if k else pm.fisher_yates(n, d) for _, n, k in _DRAWN[mode]]
     return _from_rows(*_IDENTITY_ROWS[: len(_STATE_LINES) - len(rows)], *rows)
 

@@ -296,26 +296,31 @@ class MiniModel:
 def _label_components(maps: Sequence[Sequence], shape: tuple[int, ...]):
     """Least-rank labels of the connected components of an array of the
     given shape under maps, each one index table per axis: min-label
-    propagation along each map, forward only, then pointer jumping, until a
-    round changes nothing (Shiloach & Vishkin 1982).  At that fixed point
-    labels[x] <= labels[g x] around each finite cycle of g, so labels are
-    constant on components, and the least rank keeps its own label."""
+    propagation along each map, forward only, then a pointer-jumping step,
+    until a round changes nothing (Shiloach & Vishkin 1982).  At that fixed
+    point labels[x] <= labels[g x] around each finite cycle of g, so labels
+    are constant on components, and the least rank keeps its own label.
+    Labels only fall and labels[x] <= x, so a round changes nothing exactly
+    when the label sum stays.  Memory is three label arrays: take buffers out=
+    in mode "raise" and copies int32 indices to intp (hence the chunks)."""
     import numpy as np
 
     # per map, (axis, table) on the axes it moves
     steps = [[(a, t) for a, t in enumerate(ts) if (t != np.arange(len(t))).any()] for ts in maps]
     labels = np.arange(math.prod(shape), dtype=np.int32).reshape(shape)
-    flat = labels.ravel()
+    bufs = [np.empty_like(labels), np.empty_like(labels)]
+    flat, jumped, chunk = labels.ravel(), bufs[0].ravel(), 1 << 20
+    total = flat.sum()
     while True:
-        before = labels.copy()
         for step in steps:
             image = labels
-            for axis, table in step:
-                image = image.take(table, axis)
+            for (axis, table), buf in zip(step, itertools.cycle(bufs)):
+                image = image.take(table, axis, out=buf, mode="clip")
             np.minimum(labels, image, out=labels)
-        while not np.array_equal(flat, jumped := flat[flat]):
-            flat[:] = jumped
-        if np.array_equal(labels, before):
+        for lo in range(0, flat.size, chunk):
+            flat.take(flat[lo : lo + chunk], out=jumped[lo : lo + chunk], mode="clip")
+        flat[:] = jumped
+        if total == (total := flat.sum()):  # the old sum against the new
             return labels
 
 

@@ -13,9 +13,11 @@ extended incrementally so that a coset representative, once chosen, never
 changes.  That last property lets each Schreier generator be processed
 exactly once (they are in bijection with (orbit point, generator) pairs).
 
-Inside a StrongGenSet every permutation is a 256-byte `bytes` image table,
-padded with the identity above the degree (so degree <= 256): compose(p, q)
-is q.translate(p), and bytes.maketrans(v, identity) is the inverse of v.
+Inside a StrongGenSet a permutation is a `bytes` image table, compose(p, q)
+is q.translate(p): residues and coset representatives are degree bytes long,
+translate's tables (strong generators, inverse representatives) are padded
+with the identity to 256 bytes (so degree <= 256).  bytes.maketrans(v,
+identity) is v's padded inverse; inv_transversal[lev][x] is None off the orbit.
 
 The 96-point representation of cube assemblies lives here too: center
 points 0..23 (first, so the base starts on them, which cuts the slice-move
@@ -33,6 +35,7 @@ from . import perm as pm
 from .cube import CubeState
 
 Perm = pm.Perm
+_PADDED_IDENTITY = bytes(range(256))
 
 EDGE_POINT_BASE = 24
 CORNER_POINT_BASE = 72
@@ -55,8 +58,8 @@ class StrongGenSet:
         self.base: list[int] = []
         self.gens: list[list[bytes]] = []
         self.transversal: list[dict[int, bytes]] = []
-        self.inv_transversal: list[dict[int, bytes]] = []
-        self._identity = bytes(range(256))
+        self.inv_transversal: list[list[bytes | None]] = []
+        self._identity = bytes(range(degree))
         self._done: list[tuple[int, int]] = []
 
     # -- queries ------------------------------------------------------------
@@ -65,16 +68,13 @@ class StrongGenSet:
         """Product of the orbit sizes along the stabilizer chain."""
         return math.prod(len(t) for t in self.transversal)
 
-    def _table(self, p: Perm) -> bytes:
-        return bytes(p) + self._identity[len(p) :]
-
     def _sift(self, p: bytes, start: int = 0) -> bytes:
         """Divide off coset representatives level by level and return the
         residue: the identity exactly for members of the group (of the
         start-th stabilizer when start>0)."""
         for b, inv in zip(self.base[start:], self.inv_transversal[start:]):
             if (x := p[b]) != b:  # b's own representative is the identity
-                if (ui := inv.get(x)) is None:
+                if (ui := inv[x]) is None:
                     return p
                 p = p.translate(ui)
         return p
@@ -83,7 +83,7 @@ class StrongGenSet:
         p = pm.check_perm(p)
         if len(p) != self.degree:
             raise ValueError(f"degree mismatch: {len(p)} vs {self.degree}")
-        return self._sift(self._table(p)) == self._identity
+        return self._sift(bytes(p)) == self._identity
 
     # -- construction ---------------------------------------------------------
 
@@ -91,18 +91,19 @@ class StrongGenSet:
         self.base.append(point)
         self.gens.append([])
         self.transversal.append({point: self._identity})
-        self.inv_transversal.append({point: self._identity})
+        self.inv_transversal.append([_PADDED_IDENTITY if x == point else None for x in range(256)])
         self._done.append((0, 0))
 
     def _register(self, g: bytes, min_level: int) -> int:
-        """Add a strong generator at levels min_level..j, where j is the
-        deepest level whose base prefix g fixes; extend the base when g
-        fixes every current base point.  Returns j."""
+        """Add a strong generator, given as a degree-byte table, at levels
+        min_level..j, where j is the deepest level whose base prefix g fixes;
+        extend the base when g fixes every current base point.  Returns j."""
         j = 0
         while j < len(self.base) and g[self.base[j]] == self.base[j]:
             j += 1
         if j == len(self.base):
             self._add_level(min(x for x in range(self.degree) if g[x] != x))
+        g += _PADDED_IDENTITY[self.degree :]
         for k in range(min_level, j + 1):
             self.gens[k].append(g)
         return j
@@ -130,10 +131,10 @@ class StrongGenSet:
         of base[lev] stay as they are.  Pairs done by earlier calls are
         skipped by the (points, generators) watermark _done[lev]."""
         self._extend_transversal(lev)
-        ti = self.inv_transversal[lev]
+        t, ti = self.transversal[lev], self.inv_transversal[lev]
         gens = self.gens[lev]
         old_points, old_gens = self._done[lev]
-        for n, (pt, u) in enumerate(self.transversal[lev].items()):
+        for n, (pt, u) in enumerate(t.items()):
             for g in gens[old_gens if n < old_points else 0 :]:
                 sg = u.translate(g).translate(ti[g[pt]])
                 if sg == self._identity:
@@ -143,15 +144,21 @@ class StrongGenSet:
                     j = self._register(residue, lev + 1)
                     for k in range(j, lev, -1):
                         self._complete_level(k)
-        self._done[lev] = (len(ti), len(gens))
+        self._done[lev] = (len(t), len(gens))
 
     def check_structure(self) -> None:
-        """Internal consistency: generators fix their prefix, representatives
-        hit their orbit point, inverses match, and the base point's own
+        """Internal consistency: inverses exist exactly on the orbit, tables
+        have their lengths, generators fix their prefix, representatives hit
+        their orbit point, inverses match, and the base point's own
         representative is the identity (_sift skips a level on that)."""
         levels = zip(self.base, self.transversal, self.inv_transversal)
         for lev, (b, t, ti) in enumerate(levels):
-            if t.get(b) != self._identity or ti.get(b) != self._identity:
+            if [u is not None for u in ti] != [x in t for x in range(256)]:
+                raise AssertionError(f"level {lev} inverses are not exactly on the orbit")
+            padded = {len(g) for g in [*self.gens[lev], *filter(None, ti)]}
+            if padded - {256} or {len(u) for u in t.values()} != {self.degree}:
+                raise AssertionError(f"level {lev} has a table of the wrong length")
+            if t.get(b) != self._identity or ti[b] != _PADDED_IDENTITY:
                 raise AssertionError(f"level {lev} base representative is not identity")
             for g in self.gens[lev]:
                 if any(g[c] != c for c in self.base[:lev]):
@@ -175,7 +182,7 @@ def build_bsgs(generators: Iterable[Sequence[int]]) -> StrongGenSet:
     if len(degrees) != 1:
         raise ValueError(f"mixed degrees {sorted(degrees)}")
     sgs = StrongGenSet(degrees.pop())
-    for g in map(sgs._table, gens):
+    for g in map(bytes, gens):
         if g != sgs._identity:
             sgs._register(g, 0)
     for lev in range(len(sgs.base) - 1, -1, -1):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import shlex
@@ -288,6 +289,9 @@ def test_verify_quick():
     assert sum(l.startswith("ok: geometry") for l in lines) == 5
     assert "ok: mini class count = 9" in lines
     assert "ok: mini flip-free class count = 3" in lines
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "7ecc81e7cae79fc0e7e22f3765df3b43898586aeeab19ef9ea74bff0c2e6f3c1"
+    )
 
 
 def test_verify_catches_a_coarse_pair_table(monkeypatch):
@@ -309,6 +313,15 @@ def test_verify_full():
     assert "ok: mini class count = 27" in lines
     assert "ok: slice-move group order matches the closed formula" in lines
     assert "ok: strong generating set is consistent" in lines
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "5668b692aecdc9bed7f92df02b61992dfa692700eabee64beca1d3929e3c5599"
+    )
+
+
+def small_models(monkeypatch):
+    """Full verify on the 1/1/1 mini model, for tests about the other rows."""
+    small = oracle.MiniModel
+    monkeypatch.setattr(oracle, "MiniModel", lambda *shape: small(1, 1, 1))
 
 
 def test_verify_full_runs_the_structure_check(monkeypatch):
@@ -316,11 +329,48 @@ def test_verify_full_runs_the_structure_check(monkeypatch):
         raise AssertionError("x")
 
     monkeypatch.setattr(sims.StrongGenSet, "check_structure", broken)
-    small = oracle.MiniModel  # the 1/1/1 model: this test is about the sims rows
-    monkeypatch.setattr(oracle, "MiniModel", lambda *shape: small(1, 1, 1))
+    small_models(monkeypatch)
     r = run_cli("verify")
     assert r.returncode == 3
     assert "FAIL: strong generating set is consistent (x)" in r.stdout
+    assert r.stdout.endswith("1 check(s) failed\n")
+
+
+def test_verify_sift_row_judges_every_sample(monkeypatch):
+    # a predicate that lies on the last of the 1000 sift samples (after the
+    # twelve generator rows) fails that row alone
+    calls = []
+    honest = cube.is_licit
+
+    def lying(t):
+        calls.append(t)
+        return honest(t) != (len(calls) == 12 + 1000)
+
+    monkeypatch.setattr(cube, "is_licit", lying)
+    small_models(monkeypatch)
+    r = run_cli("verify")
+    assert r.returncode == 3
+    assert "FAIL: sifting agrees with the licitness predicate (1000 samples)" in r.stdout
+    assert r.stdout.endswith("1 check(s) failed\n")
+    assert len(calls) == 12 + 1000
+
+
+def test_verify_homomorphism_row_judges_every_pair(monkeypatch):
+    # a characteristic that is wrong on the product of the last of the 200
+    # pairs fails that row alone
+    samples = list(cube.random_assemblies(cli._rng(20260818), 400, "mechanical"))
+    last = samples[-2] * samples[-1]
+    honest = cube.characteristic
+
+    def broken(t):
+        twist, sign = honest(t)
+        return ((twist + 1) % 3, sign) if t == last else (twist, sign)
+
+    monkeypatch.setattr(cube, "characteristic", broken)
+    small_models(monkeypatch)
+    r = run_cli("verify")
+    assert r.returncode == 3
+    assert "FAIL: characteristic is a homomorphism (200 random pairs)" in r.stdout
     assert r.stdout.endswith("1 check(s) failed\n")
 
 

@@ -297,6 +297,18 @@ def test_consecutive_draws_pinned(make_rng):
     )
 
 
+@pytest.mark.parametrize("mode", cube.MODES)
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_random_assemblies_match_single_draws(make_rng, mode, n):
+    # one draw call for n assemblies gives those of n random_assembly calls,
+    # and leaves the generator where they leave it
+    batched, single = make_rng(331), make_rng(331)
+    got = list(cube.random_assemblies(batched, n, mode))
+    assert got == [cube.random_assembly(single, mode) for _ in range(n)]
+    after = [rng.integers(0, 2**30, size=4).tolist() for rng in (batched, single)]
+    assert after[0] == after[1]
+
+
 def test_random_mechanical_assembly_is_flip_free(make_rng):
     rng = make_rng(310)
     for _ in range(50):

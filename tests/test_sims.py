@@ -117,8 +117,9 @@ def test_check_structure_catches_corruption():
         pt = next(x for x in s.transversal[0] if x != s.base[0])
         return s, pt
 
+    padded = bytes(range(256))  # the layout: inverses are 256-byte tables
     s, pt = s4()
-    s.inv_transversal[0][pt] = s._identity
+    s.inv_transversal[0][pt] = padded
     with pytest.raises(AssertionError, match=f"inverse representative for {pt}"):
         s.check_structure()
     s, pt = s4()
@@ -129,13 +130,29 @@ def test_check_structure_catches_corruption():
     # passes the orbit and inverse checks; _sift would skip it wrongly
     s, _ = s4()
     b, g = s.base[0], s.gens[1][0]
-    s.transversal[0][b] = g
-    s.inv_transversal[0][b] = bytes.maketrans(g, s._identity)
+    s.transversal[0][b] = g[: s.degree]
+    s.inv_transversal[0][b] = bytes.maketrans(g[: s.degree], s._identity)
     with pytest.raises(AssertionError, match="level 0 base representative is not"):
         s.check_structure()
     s, _ = s4()
     s.gens[1].append(next(g for g in s.gens[0] if g[s.base[0]] != s.base[0]))
     with pytest.raises(AssertionError, match="level 1 generator moves base"):
+        s.check_structure()
+    # a table of the wrong length is reported, not left to translate's ValueError
+    for cut in ("inverse", "generator", "representative"):
+        s, pt = s4()
+        if cut == "inverse":
+            s.inv_transversal[0][pt] = s.inv_transversal[0][pt][: s.degree]
+        elif cut == "generator":
+            s.gens[0][0] = s.gens[0][0][: s.degree]
+        else:
+            s.transversal[0][pt] += padded[s.degree :]
+        with pytest.raises(AssertionError, match="level 0 has a table of the wrong length"):
+            s.check_structure()
+    # an inverse off the orbit, or none on it
+    s, pt = s4()
+    s.inv_transversal[0][s.degree] = padded
+    with pytest.raises(AssertionError, match="level 0 inverses are not exactly on the orbit"):
         s.check_structure()
 
 
@@ -193,7 +210,10 @@ def test_slice_group_tables_pinned(slice_group):
         slice_group.base,
         [[cut(g) for g in gens] for gens in slice_group.gens],
         [[(pt, cut(u)) for pt, u in t.items()] for t in slice_group.transversal],
-        [[(pt, cut(u)) for pt, u in t.items()] for t in slice_group.inv_transversal],
+        [
+            [(pt, cut(ti[pt])) for pt in t]
+            for t, ti in zip(slice_group.transversal, slice_group.inv_transversal)
+        ],
     )
     digest = hashlib.sha256(repr(tables).encode()).hexdigest()
     assert digest == "a25b2dd97b8b93ad64253115a59feaef6996b9fdd5e5d56b76cdd5ff14ce305f"
