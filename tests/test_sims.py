@@ -149,7 +149,7 @@ def test_check_structure_catches_corruption():
             s.transversal[0][pt] += padded[s.degree :]
         with pytest.raises(AssertionError, match="level 0 has a table of the wrong length"):
             s.check_structure()
-    # an inverse off the orbit, or none on it
+    # an inverse table off the orbit
     s, pt = s4()
     s.inv_transversal[0][s.degree] = padded
     with pytest.raises(AssertionError, match="level 0 inverses are not exactly on the orbit"):
