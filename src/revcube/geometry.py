@@ -16,17 +16,10 @@ Indexing (all 0-based, fixed once):
   - centers: face f owns indices 4f..4f+3, its positions in lexicographic
     order, so same-color centers are exactly {4k, ..., 4k+3}.
 
-Orientation bookkeeping:
-  - each edge piece has a marked sticker, chosen by chirality: mark the
-    normal u with det[u, v, w] > 0, where v is the other sticker normal and
-    w points along the minor axis, away from the pair's midline.  det is
-    invariant under rotations, so every slice move sends marked stickers to
-    marked stickers, and w changes sign between the two pieces of a pair, so
-    their marked stickers sit on different faces (hence different colors);
-  - each corner piece is marked on its up/down sticker (axis y); the three
-    stickers are numbered 0, 1, 2 by repeated one-third turns of the piece
-    about its diagonal toward the cube center (right-hand rule), which
-    cycles the local axes one way or the other depending on the octant.
+Orientation bookkeeping: each edge piece has a marked sticker, chosen by
+chirality; each corner piece is marked on its up/down sticker and numbers
+the other two by one-third turns.  `_piece` holds both rules, and the
+positions and sticker tables of all three kinds are built from it alone.
 
 A slice move is a quarter turn of one slab {p : p[axis] == layer}, layer in
 {3, 1, -1, -3}, turned clockwise as seen from outside the nearest face, i.e.
@@ -65,15 +58,13 @@ def rotate(v: Vec, axis: int, sense: int) -> Vec:
 
     sense +1 is the right-handed turn about +axis (it sends the next axis in
     cyclic x->y->z order to the one after), sense -1 the inverse.
+
+    >>> rotate((1, 0, 0), 2, 1)
+    (0, 1, 0)
     """
     b, c = (axis + 1) % 3, (axis + 2) % 3
     out = list(v)
-    if sense > 0:
-        out[c] = v[b]
-        out[b] = -v[c]
-    else:
-        out[b] = v[c]
-        out[c] = -v[b]
+    out[b], out[c] = -sense * v[c], sense * v[b]
     return tuple(out)  # type: ignore[return-value]
 
 
@@ -94,86 +85,54 @@ NUM_CENTERS = 24
 NUM_CENTER_BLOCKS = 6
 
 
-def _major_axes(p: Vec) -> tuple[int, ...]:
-    return tuple(i for i in range(3) if abs(p[i]) == 3)
+def _piece(p: Vec) -> tuple[tuple, tuple[Vec, ...]]:
+    """(index-order key, sticker normals in fibre order) of the piece at p.
 
-
-def _build_positions() -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
-    corners, edges, centers = [], [], []
-    for p in itertools.product((-3, -1, 1, 3), repeat=3):
-        nmaj = len(_major_axes(p))
-        if nmaj == 3:
-            corners.append(p)
-        elif nmaj == 2:
-            edges.append(p)
-        elif nmaj == 1:
-            centers.append(p)
-    corners.sort()
-
-    def edge_key(p: Vec) -> tuple:
-        i, j = _major_axes(p)
-        (m,) = (a for a in range(3) if abs(p[a]) == 1)
-        # pair identity first, then minor +1 before minor -1
-        return (i, j, _sgn(p[i]), _sgn(p[j]), -_sgn(p[m]))
-
-    edges.sort(key=edge_key)
-
-    def center_key(p: Vec) -> tuple:
-        (a,) = _major_axes(p)
-        return (2 * a + (0 if p[a] > 0 else 1), p)
-
-    centers.sort(key=center_key)
-    return tuple(corners), tuple(edges), tuple(centers)
-
-
-CORNER_POSITIONS, EDGE_POSITIONS, CENTER_POSITIONS = _build_positions()
-_CORNER_INDEX = {p: i for i, p in enumerate(CORNER_POSITIONS)}
-_EDGE_INDEX = {p: i for i, p in enumerate(EDGE_POSITIONS)}
-_CENTER_INDEX = {p: i for i, p in enumerate(CENTER_POSITIONS)}
-
-
-def _edge_stickers(p: Vec) -> tuple[Vec, Vec]:
-    """(marked, other) sticker normals of an edge piece, chirality rule."""
-    i, j = _major_axes(p)
-    (m,) = (a for a in range(3) if abs(p[a]) == 1)
-    u = _unit(i, _sgn(p[i]))
-    v = _unit(j, _sgn(p[j]))
-    w = _unit(m, _sgn(p[m]))
-    return (u, v) if _det(u, v, w) > 0 else (v, u)
-
-
-def _corner_stickers(p: Vec) -> tuple[Vec, Vec, Vec]:
-    """Sticker normals of a corner in fibre order 0, 1, 2.
-
-    Order 0 is the up/down sticker; applying the one-third turn about the
-    piece diagonal toward the center (right-hand rule) sends sticker b to
-    where sticker b+1 sits.  The turn cycles the local axes 0->2->1 when the
-    octant sign product is positive and 0->1->2 otherwise (sign of the
-    triple product of the sticker normals against the turn axis).
+    The kind is the number of coordinates of magnitude 3; each such axis
+    gives one sticker, the outward unit normal of that face.
+      - corner (3): key p, lexicographic.  Sticker 0 is the up/down one
+        (axis y); the one-third turn of the piece about its diagonal toward
+        the cube center (right-hand rule) sends sticker b to where sticker
+        b+1 sits.  That turn cycles the local axes 0->2->1 when the octant
+        sign product is positive and 0->1->2 otherwise (sign of the triple
+        product of the sticker normals against the turn axis).
+      - edge (2): key (major axes, major signs), then minor +1 before
+        minor -1.  Chirality rule: sticker 0, the marked one, is the normal
+        u with det[u, v, w] > 0, where v is the other sticker normal and w
+        points along the minor axis, away from the pair's midline.  det is
+        invariant under rotations, so every slice move sends marked stickers
+        to marked stickers, and w changes sign between the two pieces of a
+        pair, so their marked stickers sit on different faces (hence
+        different colors).
+      - center (1): key (face, p); the one sticker as a 1-tuple.
     """
-    prod = _sgn(p[0]) * _sgn(p[1]) * _sgn(p[2])
-    nxt = {0: 2, 2: 1, 1: 0} if prod > 0 else {0: 1, 1: 2, 2: 0}
-    a = 1
-    seq = (a, nxt[a], nxt[nxt[a]])
-    return tuple(_unit(ax, _sgn(p[ax])) for ax in seq)  # type: ignore[return-value]
+    majors = [a for a in range(3) if abs(p[a]) == 3]
+    normals = [_unit(a, _sgn(p[a])) for a in majors]
+    if len(majors) == 3:
+        seq = (1, 0, 2) if p[0] * p[1] * p[2] > 0 else (1, 2, 0)
+        return p, tuple(normals[a] for a in seq)  # all three axes are major
+    if len(majors) == 2:
+        (i, j), (u, v) = majors, normals
+        m = 3 - i - j  # the minor axis
+        # pair identity first, then minor +1 before minor -1
+        key = (i, j, _sgn(p[i]), _sgn(p[j]), -_sgn(p[m]))
+        return key, ((u, v) if _det(u, v, _unit(m, _sgn(p[m]))) > 0 else (v, u))
+    return (FACE_OF[normals[0]], p), (normals[0],)
 
 
-EDGE_STICKERS: tuple[tuple[Vec, Vec], ...] = tuple(
-    _edge_stickers(p) for p in EDGE_POSITIONS
+_SHELL = [p for p in itertools.product((-3, -1, 1, 3), repeat=3) if 3 in map(abs, p)]
+# sticker normals in fibre order, by position
+_STICKERS = {p: _piece(p)[1] for p in _SHELL}
+CORNER_POSITIONS, EDGE_POSITIONS, CENTER_POSITIONS = (
+    tuple(sorted((p for p in _SHELL if len(_STICKERS[p]) == n), key=lambda p: _piece(p)[0]))
+    for n in (3, 2, 1)
 )
-CORNER_STICKERS: tuple[tuple[Vec, Vec, Vec], ...] = tuple(
-    _corner_stickers(p) for p in CORNER_POSITIONS
-)
-
-
-def _center_sticker(p: Vec) -> Vec:
-    (a,) = _major_axes(p)
-    return _unit(a, _sgn(p[a]))
-
-
-CENTER_STICKERS: tuple[Vec, ...] = tuple(
-    _center_sticker(p) for p in CENTER_POSITIONS
-)
+# index within its kind, by position: the kinds never share a position
+_INDEX = {
+    p: i
+    for positions in (CORNER_POSITIONS, EDGE_POSITIONS, CENTER_POSITIONS)
+    for i, p in enumerate(positions)
+}
 
 # slab of every move: (axis, layer); layer 3 is the outer face the move is
 # named after, 1 and -1 the inner slabs, -3 the opposite outer face.  The
@@ -214,32 +173,25 @@ def move_components(
     """
     sense = -1 if layer > 0 else 1
 
-    def rot(v: Vec) -> Vec:
-        return rotate(v, axis, sense)
-
-    def follow(
-        positions: tuple[Vec, ...], index: dict[Vec, int], stickers: tuple
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        k = len(stickers[0])
+    def follow(positions: tuple[Vec, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         perm = list(range(len(positions)))
         tw = [0] * len(positions)
         for i, p in enumerate(positions):
             if p[axis] != layer:
                 continue
-            j = index[rot(p)]
-            perm[i] = j
-            src, dst = stickers[i], stickers[j]
-            off = dst.index(rot(src[0]))
-            if any(rot(src[b]) != dst[(b + off) % k] for b in range(k)):
+            q = rotate(p, axis, sense)
+            j = perm[i] = _INDEX[q]
+            moved = [rotate(s, axis, sense) for s in _STICKERS[p]]
+            dst, k = _STICKERS[q], len(moved)
+            off = dst.index(moved[0])
+            if any(moved[b] != dst[(b + off) % k] for b in range(k)):
                 raise GeometryError(f"sticker map not a twist at {p}")
             tw[j] = off
         return tuple(tw), tuple(perm)
 
-    edge_tw, edge_perm = follow(EDGE_POSITIONS, _EDGE_INDEX, EDGE_STICKERS)
-    corner_tw, corner_perm = follow(CORNER_POSITIONS, _CORNER_INDEX, CORNER_STICKERS)
-    _, center_perm = follow(
-        CENTER_POSITIONS, _CENTER_INDEX, tuple((s,) for s in CENTER_STICKERS)
-    )
+    edge_tw, edge_perm = follow(EDGE_POSITIONS)
+    corner_tw, corner_perm = follow(CORNER_POSITIONS)
+    _, center_perm = follow(CENTER_POSITIONS)
     return edge_tw, edge_perm, corner_tw, corner_perm, center_perm
 
 
@@ -263,8 +215,8 @@ def validate_geometry() -> list[tuple[str, bool, str]]:
     pair_colors = []
     ok = True
     for k in range(NUM_EDGE_PAIRS):
-        a = frozenset(sticker_color(s) for s in EDGE_STICKERS[2 * k])
-        b = frozenset(sticker_color(s) for s in EDGE_STICKERS[2 * k + 1])
+        a = frozenset(map(sticker_color, _STICKERS[EDGE_POSITIONS[2 * k]]))
+        b = frozenset(map(sticker_color, _STICKERS[EDGE_POSITIONS[2 * k + 1]]))
         ok = ok and a == b and len(a) == 2
         pair_colors.append(a)
     ok = ok and len(set(pair_colors)) == NUM_EDGE_PAIRS
@@ -272,7 +224,7 @@ def validate_geometry() -> list[tuple[str, bool, str]]:
 
     ok = True
     for k in range(NUM_CENTER_BLOCKS):
-        cols = {sticker_color(CENTER_STICKERS[i]) for i in range(4 * k, 4 * k + 4)}
+        cols = {sticker_color(_STICKERS[p][0]) for p in CENTER_POSITIONS[4 * k : 4 * k + 4]}
         ok = ok and cols == {k}
     checks.append(("center blocks {4k..4k+3} monochrome per face", ok, ""))
 
@@ -281,8 +233,8 @@ def validate_geometry() -> list[tuple[str, bool, str]]:
     bad = [
         k
         for k in range(NUM_EDGE_PAIRS)
-        if sticker_color(EDGE_STICKERS[2 * k][0])
-        == sticker_color(EDGE_STICKERS[2 * k + 1][0])
+        if sticker_color(_STICKERS[EDGE_POSITIONS[2 * k]][0])
+        == sticker_color(_STICKERS[EDGE_POSITIONS[2 * k + 1]][0])
     ]
     checks.append(
         ("edge marking distinguishes each pair", not bad, f"pairs {bad}" if bad else "")

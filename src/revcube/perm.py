@@ -26,32 +26,23 @@ def identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-def is_perm(p: Sequence[int]) -> bool:
-    """True when p is a bijective image table of {0, ..., len(p)-1} (bools refused)."""
-    return _scan(p) is not None
-
-
-def _scan(p: Sequence[int]) -> bool | None:
-    """None when p is not a permutation, else whether every entry is an exact int."""
+def check_perm(p: Sequence[int]) -> Perm:
+    """Return p as a tuple of ints, raising ValueError when it is not a
+    bijective image table of {0, ..., len(p)-1} (bools refused)."""
     n = len(p)
     seen = [False] * n
     exact = True
     for x in p:  # ints first: the Integral ABC check (numpy ints) is slow
         if type(x) is not int:
             if type(x) is bool or not isinstance(x, Integral):
-                return None
+                break
             exact = False
         if not 0 <= x < n or seen[x]:
-            return None
+            break
         seen[x] = True
-    return exact
-
-
-def check_perm(p: Sequence[int]) -> Perm:
-    """Return p as a tuple of ints, raising ValueError when it is not a permutation."""
-    if (exact := _scan(p)) is None:
-        raise ValueError(f"not a permutation of 0..{len(p) - 1}: {p!r}")
-    return tuple(p) if exact else tuple(map(int, p))
+    else:
+        return tuple(p) if exact else tuple(map(int, p))
+    raise ValueError(f"not a permutation of 0..{n - 1}: {p!r}")
 
 
 def compose(p: Perm, q: Perm) -> Perm:

@@ -17,10 +17,56 @@ def random_word(rng, length):
 
 
 def test_geometry_validation_rows():
+    assert geometry.validate_geometry() == [
+        ("piece counts 8/24/24", True, ""),
+        ("edge pairs {2k,2k+1} share colors, pairwise distinct", True, ""),
+        ("center blocks {4k..4k+3} monochrome per face", True, ""),
+        ("edge marking distinguishes each pair", True, ""),
+        ("slice moves permute their slab only", True, ""),
+    ]
+
+
+def test_move_tables_pinned():
+    # every (twists, perm) table of the twelve moves, in MOVE_SLABS order
+    tables = [geometry.move_components(*s) for s in geometry.MOVE_SLABS.values()]
+    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert digest == "880483f5f3108688fbee27ac4f066aae8e8455554ef9a69b2b98675b0c1781e6"
+
+
+@pytest.fixture
+def stickers(monkeypatch):
+    """Setter for one entry of geometry's sticker table, undone after the test;
+    cube.generator's cache is cleared on both sides so that no table built
+    from a corrupted sticker outlives the test."""
+    cube.generator.cache_clear()
+    yield lambda p, normals: monkeypatch.setitem(geometry._STICKERS, p, normals)
+    cube.generator.cache_clear()
+
+
+def test_geometry_rejects_a_sticker_map_that_is_no_twist(stickers):
+    # B turns the slab z == -3 first, and its first corner is corner 0
+    p = geometry.CORNER_POSITIONS[0]
+    s0, s1, s2 = geometry._STICKERS[p]
+    stickers(p, (s0, s2, s1))
+    with pytest.raises(geometry.GeometryError, match="sticker map not a twist"):
+        geometry.move_components(*geometry.MOVE_SLABS["B"])
     rows = geometry.validate_geometry()
-    assert len(rows) == 5
-    for name, ok, detail in rows:
-        assert ok, f"{name}: {detail}"
+    assert [ok for _, ok, _ in rows] == [True, True, True, True, False]
+    assert rows[-1] == (
+        "slice moves permute their slab only",
+        False,
+        "B: sticker map not a twist at (-3, -3, -3)",
+    )
+
+
+def test_geometry_rejects_a_pair_marked_on_one_color(stickers):
+    k = 5
+    p = geometry.EDGE_POSITIONS[2 * k + 1]
+    marked, other = geometry._STICKERS[p]
+    stickers(p, (other, marked))
+    rows = geometry.validate_geometry()
+    assert [ok for _, ok, _ in rows] == [True, True, True, False, True]
+    assert rows[3] == ("edge marking distinguishes each pair", False, f"pairs [{k}]")
 
 
 def test_slab_table_complete():
@@ -435,7 +481,8 @@ def test_parse_state_reports_positions():
     lines[1] = " ".join(parts)
     with pytest.raises(cube.StateFileError) as e:
         cube.parse_state("\n".join(lines) + "\n")
-    assert e.value.line == 2
+    assert e.value.line == 2 and e.value.token == 0
+    assert str(e.value) == "line 2, token 0: 'edges_perm' is not a permutation"
 
     lines = text.splitlines()
     parts = lines[4].split()

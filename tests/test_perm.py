@@ -1,6 +1,7 @@
 import math
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from revcube import perm
@@ -54,15 +55,22 @@ def test_compose_degree_mismatch():
         perm.compose((0, 1), (0, 1, 2))
 
 
-def test_is_perm_and_check():
-    assert perm.is_perm((2, 0, 1))
-    assert not perm.is_perm((0, 0, 1))
-    assert not perm.is_perm((0, 1, 3))
-    assert not perm.is_perm((True, False))  # bools are not point labels
-    with pytest.raises(ValueError):
-        perm.check_perm((1, 1))
-    with pytest.raises(ValueError):
-        perm.check_perm((True, False))
+def test_check_perm():
+    assert perm.check_perm((2, 0, 1)) == (2, 0, 1)
+    assert perm.check_perm([]) == ()
+    got = perm.check_perm(np.array([1, 2, 0]))  # numpy ints become Python ints
+    assert got == (1, 2, 0) and all(type(x) is int for x in got)
+    for bad in (
+        (0, 0, 1),
+        (0, 1, 3),
+        (0, -1),
+        (True, False),  # bools are not point labels
+        (0.0, 1.0),
+        (0, 1, 2.0),
+        (1, 1),
+    ):
+        with pytest.raises(ValueError, match="not a permutation"):
+            perm.check_perm(bad)
 
 
 def _sign_by_inversions(p):

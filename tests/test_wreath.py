@@ -103,7 +103,7 @@ def test_to_point_perm_is_homomorphism(make_rng):
             n = int(rng.integers(1, 8))
             g = random_elem(k, n, rng)
             h = random_elem(k, n, rng)
-            assert perm.is_perm(g.to_point_perm())
+            perm.check_perm(g.to_point_perm())
             assert (g * h).to_point_perm() == perm.compose(
                 g.to_point_perm(), h.to_point_perm()
             )
