@@ -170,7 +170,7 @@ def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
     for _ in range(100):
         t = cube.random_assembly(rng)
         i = cube.random_relabeling(rng)
-        word = [moves[int(rng.integers(0, 12))] for _ in range(8)]
+        word = [moves[m] for m in rng.integers(0, 12, size=8).tolist()]
         l = cube.apply_word(word)
         if cube.classify(i * t * l) != cube.classify(t):
             ok = False

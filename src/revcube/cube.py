@@ -15,8 +15,7 @@ Three subgroups drive everything:
     corner twist 0 mod 3 and corner permutation sign equal to center
     permutation sign (the `characteristic` pair);
   - relabelings: elements that swap identically-colored pieces in place,
-    which no observer can see.  Swapping an edge pair flips both members,
-    centers move freely inside their face, corners stay put.
+    which no observer can see; `is_relabeling` states the rule piece by piece.
 
 Solvability of an assembly means a relabeling followed by a licit element
 reaches it.  In closed form: every edge pair has equal flip bits and the
@@ -179,26 +178,21 @@ def is_licit(t: CubeState) -> bool:
 
 def is_relabeling(t: CubeState) -> bool:
     """Permutes identically-colored pieces in place, invisible on a solved
-    cube: every edge pair is either fixed bit-free or swapped with both
-    members flipped, corners untouched, centers stay inside their face."""
-    if _rows(t)[2:4] != _IDENTITY_ROWS[2:4]:
-        return False
+    cube: corners do not move, each edge stays in its pair {2k, 2k+1} and is
+    flipped exactly when it moved, each center stays in its face's block
+    {4k..4k+3}.  As the edge perm is a bijection, each pair is fixed or swapped.
+
+    >>> is_relabeling(identity_state())
+    True
+    >>> is_relabeling(generator(Move.U))
+    False
+    """
     ep, eb = t.edges.perm, t.edges.twists
-    for k in range(NUM_EDGE_PAIRS):
-        a, b = 2 * k, 2 * k + 1
-        if ep[a] == a and ep[b] == b:
-            if eb[a] != 0 or eb[b] != 0:
-                return False
-        elif ep[a] == b and ep[b] == a:
-            if eb[a] != 1 or eb[b] != 1:
-                return False
-        else:
-            return False
-    for k in range(NUM_CENTER_BLOCKS):
-        block = range(4 * k, 4 * k + 4)
-        if any(t.centers[i] not in block for i in block):
-            return False
-    return True
+    return (
+        _rows(t)[2:4] == _IDENTITY_ROWS[2:4]
+        and all(p // 2 == i // 2 and b == (p != i) for i, (p, b) in enumerate(zip(ep, eb)))
+        and all(p // 4 == i // 4 for i, p in enumerate(t.centers))
+    )
 
 
 def solvable_by_invariants(
@@ -314,16 +308,10 @@ def random_relabeling(rng: np.random.Generator) -> CubeState:
     """Uniform over relabelings, drawn in one call: independent pair swaps,
     then a Fisher-Yates shuffle of each center block."""
     d = iter(rng.integers(0, _RELABELING_BOUNDS).tolist())
-    bits = [0] * NUM_EDGES
-    eperm = list(range(NUM_EDGES))
-    for k, swap in zip(range(NUM_EDGE_PAIRS), d):
-        if swap:
-            a, b = 2 * k, 2 * k + 1
-            bits[a] = bits[b] = 1
-            eperm[a], eperm[b] = b, a
+    bits = tuple([x for s in islice(d, NUM_EDGE_PAIRS) for x in (s, s)])  # a swap flips both
     zperm = [4 * k + x for k in range(NUM_CENTER_BLOCKS) for x in pm.fisher_yates(4, d)]
     _, _, ctw, cp, _ = _IDENTITY_ROWS
-    return _from_rows(tuple(bits), tuple(eperm), ctw, cp, tuple(zperm))
+    return _from_rows(bits, tuple([i ^ b for i, b in enumerate(bits)]), ctw, cp, tuple(zperm))
 
 
 # ---------------------------------------------------------------------------

@@ -166,10 +166,10 @@ def move_components(
     one slab quarter-turn.
 
     perm[i] is the slot the piece in slot i moves to; the twist is stored at
-    the destination slot.  Certified: every sticker of a moved piece must
-    land with the same fibre offset, otherwise the move would not have
-    wreath coordinates at all.  Centers follow their one sticker and carry
-    no twist.
+    the destination slot.  Certified: the stickers of a moved piece must land
+    as a cyclic shift of the destination's, by the twist; otherwise the move
+    would not have wreath coordinates at all.  Centers follow their one
+    sticker and carry no twist.
     """
     sense = -1 if layer > 0 else 1
 
@@ -181,10 +181,10 @@ def move_components(
                 continue
             q = rotate(p, axis, sense)
             j = perm[i] = _INDEX[q]
-            moved = [rotate(s, axis, sense) for s in _STICKERS[p]]
-            dst, k = _STICKERS[q], len(moved)
-            off = dst.index(moved[0])
-            if any(moved[b] != dst[(b + off) % k] for b in range(k)):
+            moved = tuple(rotate(s, axis, sense) for s in _STICKERS[p])
+            dst = _STICKERS[q]
+            off = dst.index(moved[0]) if moved[0] in dst else 0
+            if moved != dst[off:] + dst[:off]:  # no shift of dst matches
                 raise GeometryError(f"sticker map not a twist at {p}")
             tw[j] = off
         return tuple(tw), tuple(perm)

@@ -116,37 +116,30 @@ class MiniModel:
         return not any(eb) and sum(ct) % 3 == 0 and _perm_sign(cp) == _perm_sign(zp)
 
     def is_relabeling(self, t: MiniElem) -> bool:
+        """Corners do not move, each edge stays in its pair and is flipped
+        exactly when it moved, each center stays in its block."""
         (eb, ep), corners, zp = t
-        if corners != self.identity()[1]:
-            return False
-        for k in range(self.pairs):
-            a, b = 2 * k, 2 * k + 1
-            fixed = ep[a] == a and ep[b] == b and not (eb[a] or eb[b])
-            swapped = ep[a] == b and ep[b] == a and eb[a] and eb[b]
-            if not (fixed or swapped):
-                return False
-        for k in range(self.blocks):
-            block = range(4 * k, 4 * k + 4)
-            if any(zp[i] not in block for i in block):
-                return False
-        return True
+        return (
+            corners == self.identity()[1]
+            and all(p // 2 == i // 2 and b == (p != i) for i, (p, b) in enumerate(zip(ep, eb)))
+            and all(p // 4 == i // 4 for i, p in enumerate(zp))
+        )
 
     # -- subgroups ----------------------------------------------------------
 
     def relabelings(self) -> list[MiniElem]:
         """The relabeling subgroup, enumerated constructively: per edge pair
         fix-or-swap, per block any of the 24 placements."""
-        fix_or_swap = [
-            [((0, 0), (2 * k, 2 * k + 1)), ((1, 1), (2 * k + 1, 2 * k))] for k in range(self.pairs)
-        ]
+        swaps = itertools.product((0, 1), repeat=self.pairs)
+        bits = [tuple(x for s in swap for x in (s, s)) for swap in swaps]  # a swap flips both
         placements = [
             [tuple(4 * k + x for x in p) for p in itertools.permutations(range(4))]
             for k in range(self.blocks)
         ]
         corners = self.identity()[1]
         return [
-            ((sum((b for b, _ in es), ()), sum((p for _, p in es), ())), corners, sum(zs, ()))
-            for es in itertools.product(*fix_or_swap)
+            ((b, tuple(i ^ x for i, x in enumerate(b))), corners, sum(zs, ()))
+            for b in bits
             for zs in itertools.product(*placements)
         ]
 

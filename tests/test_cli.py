@@ -374,6 +374,21 @@ def test_verify_homomorphism_row_judges_every_pair(monkeypatch):
     assert r.stdout.endswith("1 check(s) failed\n")
 
 
+def test_word_draw_matches_scalar_draws():
+    # the class-invariant row draws each 8-move word in one call; numpy gives
+    # the values and leaves the generator where 8 scalar draws would, also
+    # between the row's other draws (numpy's behaviour, not a documented promise)
+    batched, scalar = cli._rng(20260818), cli._rng(20260818)
+    for _ in range(100):
+        for rng in (batched, scalar):
+            cube.random_assembly(rng)
+            cube.random_relabeling(rng)
+        assert batched.integers(0, 12, size=8).tolist() == [
+            int(scalar.integers(0, 12)) for _ in range(8)
+        ]
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
 def test_unknown_command():
     assert_bad_input(run_module("frobnicate"))
     assert_bad_input(run_cli())

@@ -59,6 +59,21 @@ def test_geometry_rejects_a_sticker_map_that_is_no_twist(stickers):
     )
 
 
+def test_geometry_rejects_a_sticker_off_the_destination(stickers):
+    # corner 0 given a normal that no corner sticker has: B moves it onto no
+    # sticker of its destination, a failed row and not a crash
+    p = geometry.CORNER_POSITIONS[0]
+    _, *rest = geometry._STICKERS[p]
+    stickers(p, ((1, 0, 0), *rest))
+    with pytest.raises(geometry.GeometryError, match="sticker map not a twist"):
+        geometry.move_components(*geometry.MOVE_SLABS["B"])
+    assert geometry.validate_geometry()[-1] == (
+        "slice moves permute their slab only",
+        False,
+        "B: sticker map not a twist at (-3, -3, -3)",
+    )
+
+
 def test_geometry_rejects_a_pair_marked_on_one_color(stickers):
     k = 5
     p = geometry.EDGE_POSITIONS[2 * k + 1]
@@ -166,6 +181,48 @@ def test_is_relabeling_rejects_moved_corners():
         IDENT.edges, WreathElem(3, tw, perm.identity(8)), IDENT.centers
     )
     assert not cube.is_relabeling(t)
+
+
+def _cycle(n, *points):
+    """The permutation of range(n) taking each of points to the next, cyclically."""
+    p = list(range(n))
+    for x, y in zip(points, points[1:] + points[:1]):
+        p[x] = y
+    return tuple(p)
+
+
+def _edited(flips=(), edges=(), corners=(), centers=()):
+    """The identity with these edge bits set and these cycles of edges,
+    corners and centers."""
+    bits = tuple(int(i in flips) for i in range(cube.NUM_EDGES))
+    return cube.CubeState(
+        WreathElem(2, bits, _cycle(cube.NUM_EDGES, *edges)),
+        WreathElem(3, IDENT.corners.twists, _cycle(cube.NUM_CORNERS, *corners)),
+        _cycle(cube.NUM_CENTERS, *centers),
+    )
+
+
+RELABELING_CASES = {
+    "identity": (True, {}),
+    **{
+        f"pair {k} swapped and flipped": (True, dict(edges=pair, flips=pair))
+        for k in range(cube.NUM_EDGE_PAIRS)
+        for pair in [(2 * k, 2 * k + 1)]
+    },
+    "4-cycle in center block 2": (True, dict(centers=(8, 10, 9, 11))),
+    "pair 3 swapped without flips": (False, dict(edges=(6, 7))),
+    "pair 3 fixed with both flips": (False, dict(flips=(6, 7))),
+    "one member of fixed pair 3 flipped": (False, dict(flips=(7,))),
+    "edges 0 and 2 swapped and flipped": (False, dict(edges=(0, 2), flips=(0, 2))),
+    "centers 0 and 4 swapped": (False, dict(centers=(0, 4))),
+    "corners 0 and 1 swapped": (False, dict(corners=(0, 1))),
+}
+
+
+@pytest.mark.parametrize("case", RELABELING_CASES)
+def test_is_relabeling_cases(case):
+    want, edits = RELABELING_CASES[case]
+    assert cube.is_relabeling(_edited(**edits)) is want
 
 
 def test_pair_flip_state_factors_through_relabeling():

@@ -119,6 +119,17 @@ def test_mini_relabeling_count():
     assert len(oracle.MiniModel(2, 2, 1).relabelings()) == 4 * 24
 
 
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (2, 0, 1), (0, 1, 1), (0, 0, 2)], ids=lambda s: "-".join(map(str, s))
+)
+def test_relabeling_predicate_matches_construction(shape):
+    # exhaustive: every element of the model, 576, 9,216, 72 and 40,320 of
+    # them; (0, 0, 2) is the one with two center blocks
+    m = oracle.MiniModel(*shape)
+    found = {t for t in itertools.product(*m._axes) if m.is_relabeling(t)}
+    assert found == set(m.relabelings())
+
+
 def test_mini_licit_index():
     # licit elements sit at index 6 inside the flip-free part
     m = oracle.MiniModel(2, 2, 1)
