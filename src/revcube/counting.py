@@ -92,14 +92,16 @@ def exact_probability(mode: str = "marked") -> Fraction:
 # (seed, spawn_key=(i,)).  Pool thread t runs one task over streams t,
 # t + threads, t + 2*threads, ..., so the work in flight is flat in n; integer
 # hit counts sum alike in any order, so the estimate depends on (mode, n, seed)
-# only.  Solvability reads only the edge flip bits and the corner twists
-# (cube.solvable_by_invariants), both independent of the placements under the
-# uniform law, so a sample draws just those as two uniform integers: x in
-# [0, 2^24) (marked mode only), bit k edge k's flip, then v in [0, 3^8), base-3
-# digit k corner k's twist.  A marked stream draws x for every sample first,
-# then v only for the samples whose edge pairs agree, in sample order: the
-# others miss whatever v is, and the v draws are iid and independent of x, so
-# hits keep the law of cube.py's samplers.
+# only.  Solvability reads only the edge flips and corner twists, both
+# independent of the placements under the uniform law, so a stream draws just
+# those, two samples per draw: a uniform 64-bit w holds sample 2i's flips in
+# bits 0..23 (bit k edge k's) and 2i+1's in bits 32..55, and u in [0, 3^16)
+# the twist codes u mod 3^8 and u div 3^8 (digit k corner k's twist).  A
+# uniform word's two 24-bit fields are independent and uniform, and u is a
+# bijection onto pairs of codes, so all are iid uniform; an odd count leaves
+# the last high half or code unused.  Marked mode draws codes, after all of w,
+# only for samples whose edge pairs agree, in sample order: the rest miss
+# whatever their twists, and codes are independent of w, so hits keep the law.
 
 
 @cache
@@ -120,11 +122,17 @@ def _check_int(name: str, value: int, least: int, most: float = math.inf) -> Non
 def _stream_hits(mode: str, seed: int, index: int, count: int) -> int:
     import numpy as np  # loaded by the first stream, not by the exact counts
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    if mode == "marked":  # bit 2j of x ^ (x >> 1) set: pair (2j, 2j+1) differs
-        x = rng.integers(0, 1 << cube.NUM_EDGES, size=count, dtype=np.uint32)
-        count = int(np.count_nonzero((x ^ (x >> 1)) & 0x555555 == 0))  # pairs agree
-    v = rng.integers(0, 3**cube.NUM_CORNERS, size=count, dtype=np.uint16)
-    return int(np.count_nonzero(_twists_pass().take(v)))
+    if mode == "marked":  # bit 2j of w ^ (w >> 1) set: pair (2j, 2j+1) differs
+        w = rng.integers(0, 1 << 64, size=(count + 1) // 2, dtype=np.uint64)
+        w ^= (d := w >> 1)  # d is scratch below: out= spares fresh pages, which cost more
+        k = count // 2  # words whose high half is a sample
+        count = w.size + k - np.count_nonzero(np.bitwise_and(w, 0x555555, out=d))
+        count = int(count - np.count_nonzero(np.bitwise_and(w[:k], 0x55555500000000, out=d[:k])))
+    q = 3**cube.NUM_CORNERS  # code 2j is u mod q, code 2j+1 is u div q
+    u = rng.integers(0, q * q, size=(count + 1) // 2, dtype=np.uint32)
+    u -= (high := u // q) * q
+    hits = np.count_nonzero(_twists_pass().take(u))
+    return int(hits + np.count_nonzero(_twists_pass().take(high[: count // 2])))
 
 
 def estimate_probability(

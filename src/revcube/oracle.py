@@ -37,8 +37,7 @@ MiniElem = tuple[tuple, tuple, tuple[int, ...]]
 def _perm_sign(p: Sequence[int]) -> int:
     """Sign as the parity of the inversion count, so that it shares no
     algorithm with perm.sign, which walks cycles."""
-    n = len(p)
-    inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+    inversions = sum(a > b for a, b in itertools.combinations(p, 2))
     return -1 if inversions & 1 else 1
 
 
