@@ -64,7 +64,7 @@ def _seed_from(args: argparse.Namespace) -> int:
 
 def _read_state(path: str) -> cube.CubeState:
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii", newline="") as fh:  # line ends kept for parse_state
             text = fh.read(STATE_FILE_LIMIT + 1)
     except OSError as e:
         _fail(f"cannot read {path}: {e.strerror}")
@@ -142,8 +142,11 @@ def _check_row(name: str, check: Callable[[], None]) -> tuple[str, bool, str]:
 
 
 def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
-    for name, ok, detail in geometry.validate_geometry():
+    rows = geometry.validate_geometry()
+    for name, ok, detail in rows:
         yield f"geometry: {name}", ok, detail
+    if not all(ok for _, ok, _ in rows):
+        return  # every later row is built from the same piece model
 
     ident = cube.identity_state()
     for m in cube.Move:

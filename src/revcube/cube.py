@@ -25,10 +25,11 @@ fiat: the oracle module checks it exhaustively on miniature models.
 Two regimes are named by one `mode` string (MODES): ``marked`` covers every
 assembly, ``mechanical`` the flip-free ones, with the flip bits left out.
 
-Constructors and parse_state validate their input and raise ValueError.
-Nothing built inside the module is checked again: products and inverses stay
-in the group, and parse_state, identity_state, generator, representative and
-the random builders pass valid rows to _from_rows.
+Constructors, parse_state and StateClass.from_string validate their input
+and raise ValueError.  Nothing built inside the module is checked again:
+products and inverses stay in the group, parse_state, identity_state,
+generator, representative and the random builders pass valid rows to
+_from_rows, and classify and from_string build valid classes.
 """
 
 from __future__ import annotations
@@ -237,6 +238,7 @@ class StateClass:
             raise ValueError("need 12 pair labels in {0,1,2}")
         if type(self.twist) is not int or self.twist not in (0, 1, 2):
             raise ValueError("twist must lie in {0,1,2}")
+        object.__setattr__(self, "pair_labels", tuple(self.pair_labels))
 
     def to_string(self) -> str:
         return "".join(str(l) for l in self.pair_labels) + f":{self.twist}"
@@ -245,7 +247,7 @@ class StateClass:
     def from_string(cls, s: str) -> "StateClass":
         if not re.fullmatch(r"[012]{12}:[012]", s):
             raise ValueError(f"malformed class string {s!r}")
-        return cls(tuple(int(c) for c in s[:12]), int(s[13]))
+        return _trusted(cls, pair_labels=tuple(int(c) for c in s[:12]), twist=int(s[13]))
 
 
 def classify(t: CubeState) -> StateClass:
@@ -256,7 +258,7 @@ def classify(t: CubeState) -> StateClass:
     labels = tuple(
         _PAIR_LABEL[(bits[2 * k], bits[2 * k + 1])] for k in range(NUM_EDGE_PAIRS)
     )
-    return StateClass(labels, t.corners.twist_sum())
+    return _trusted(StateClass, pair_labels=labels, twist=t.corners.twist_sum())
 
 
 def representative(cls: StateClass) -> CubeState:

@@ -1,9 +1,24 @@
+import io
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from revcube import cube, perm, sims
+from revcube import cli, cube, perm, sims
+
+
+def run_cli(*args):
+    """`revcube ARGS` in process, read like a finished subprocess."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as e:
+            code = e.code
+    stdout, stderr = out.getvalue(), err.getvalue()
+    return SimpleNamespace(returncode=code, stdout=stdout, stderr=stderr)
 
 
 def random_perm(n: int, rng: np.random.Generator) -> perm.Perm:

@@ -1,26 +1,13 @@
 import hashlib
-import io
 import os
 import shlex
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from types import SimpleNamespace
 
 from revcube import cli, cube, oracle, sims
 
-
-def run_cli(*args):
-    """`revcube ARGS` in process, read like a finished subprocess."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(list(args))
-        except SystemExit as e:
-            code = e.code
-    stdout, stderr = out.getvalue(), err.getvalue()
-    return SimpleNamespace(returncode=code, stdout=stdout, stderr=stderr)
+from conftest import run_cli
 
 
 def run_module(*args):
@@ -227,6 +214,20 @@ def test_non_ascii_state_file(tmp_path):
     assert r.stderr.splitlines() == [f"error: {bad}: non-ASCII byte 0xef at offset 8"]
 
 
+def test_state_file_line_ends_are_parse_states(tmp_path):
+    # the CLI parses a file's text as parse_state does: "\r\n" ends a line
+    # (the "\r" is whitespace), a lone "\r" does not
+    text = run_cli("random-assembly", "--seed", "3").stdout
+    crlf, cr = tmp_path / "crlf.txt", tmp_path / "cr.txt"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    cr.write_bytes(text.replace("\n", "\r").encode())
+    r = run_cli("invariant", str(crlf))
+    assert (r.returncode, r.stdout) == (0, "201000200000:2\n")
+    r = run_cli("invariant", str(cr))
+    assert_bad_input(r)
+    assert r.stderr == f"error: {cr}: line 2, token 0: expected 5 lines, got 1\n"
+
+
 def test_long_token_is_a_positioned_error(tmp_path):
     lines = cube.format_state(cube.identity_state()).splitlines()
     lines[0] = lines[0].replace(" 0", " " + "1" * 5000, 1)
@@ -280,6 +281,13 @@ def test_canonical_rejects_malformed():
     assert run_cli("canonical", "0000000000003:1").returncode == 2
 
 
+def verify_digest(level):
+    """sha256 of `revcube verify --level LEVEL` stdout, read from the
+    `sha256sum -c` file that CI checks the installed script against."""
+    lines = (Path(__file__).parent / "verify.sha256").read_text().splitlines()
+    return dict(reversed(line.split()) for line in lines)[f"verify-{level}.txt"]
+
+
 def test_verify_quick():
     r = run_cli("verify", "--level", "quick")
     assert r.returncode == 0
@@ -289,9 +297,7 @@ def test_verify_quick():
     assert sum(l.startswith("ok: geometry") for l in lines) == 5
     assert "ok: mini class count = 9" in lines
     assert "ok: mini flip-free class count = 3" in lines
-    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
-        "7ecc81e7cae79fc0e7e22f3765df3b43898586aeeab19ef9ea74bff0c2e6f3c1"
-    )
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == verify_digest("quick")
 
 
 def test_verify_catches_a_coarse_pair_table(monkeypatch):
@@ -313,9 +319,7 @@ def test_verify_full():
     assert "ok: mini class count = 27" in lines
     assert "ok: slice-move group order matches the closed formula" in lines
     assert "ok: strong generating set is consistent" in lines
-    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
-        "5668b692aecdc9bed7f92df02b61992dfa692700eabee64beca1d3929e3c5599"
-    )
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == verify_digest("full")
 
 
 def small_models(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from revcube import cube, geometry, perm
 from revcube.wreath import WreathElem
 
-from conftest import random_perm
+from conftest import random_perm, run_cli
 
 IDENT = cube.identity_state()
 MOVES = list(cube.Move)
@@ -34,13 +35,29 @@ def test_move_tables_pinned():
 
 
 @pytest.fixture
-def stickers(monkeypatch):
-    """Setter for one entry of geometry's sticker table, undone after the test;
-    cube.generator's cache is cleared on both sides so that no table built
-    from a corrupted sticker outlives the test."""
+def fresh_generators():
+    """cube.generator's cache cleared on both sides of the test, so that no
+    table built from a corrupted piece model outlives it."""
     cube.generator.cache_clear()
-    yield lambda p, normals: monkeypatch.setitem(geometry._STICKERS, p, normals)
+    yield
     cube.generator.cache_clear()
+
+
+@pytest.fixture
+def stickers(monkeypatch, fresh_generators):
+    """Setter for one entry of geometry's sticker table, undone after the test."""
+    return lambda p, normals: monkeypatch.setitem(geometry._STICKERS, p, normals)
+
+
+def assert_verify_stops_at_geometry(detail):
+    # a broken piece model fails its geometry row and ends verify there: exit
+    # 3 and no traceback, as every later row reads the same model
+    r = run_cli("verify")
+    assert r.returncode == 3
+    assert r.stdout.splitlines()[-2:] == [
+        f"FAIL: geometry: slice moves permute their slab only ({detail})",
+        "1 check(s) failed",
+    ]
 
 
 def test_geometry_rejects_a_sticker_map_that_is_no_twist(stickers):
@@ -57,6 +74,32 @@ def test_geometry_rejects_a_sticker_map_that_is_no_twist(stickers):
         False,
         "B: sticker map not a twist at (-3, -3, -3)",
     )
+    assert_verify_stops_at_geometry("B: sticker map not a twist at (-3, -3, -3)")
+
+
+# B (z == -3, sense +1) sends (x, y, -3) to (-y, x, -3): corner 0 lands on
+# (3, -3, -3), and (-3, 3, -3) on corner 0's slot
+@pytest.mark.parametrize(
+    "src, dst",
+    [((-3, -3, -3), (-3, -3, 3)), ((-3, 3, -3), (3, -3, -3))],
+    ids=["off the slab", "onto a taken slot"],
+)
+def test_geometry_rejects_a_move_that_leaves_its_slab(
+    monkeypatch, fresh_generators, src, dst
+):
+    honest = geometry.rotate
+    monkeypatch.setattr(
+        geometry,
+        "rotate",
+        lambda v, axis, sense: dst if (v, axis) == (src, 2) else honest(v, axis, sense),
+    )
+    detail = f"slab not stable at {src}"
+    with pytest.raises(geometry.GeometryError, match=re.escape(detail)):
+        geometry.move_components(*geometry.MOVE_SLABS["B"])
+    rows = geometry.validate_geometry()
+    assert [ok for _, ok, _ in rows] == [True, True, True, True, False]
+    assert rows[-1] == ("slice moves permute their slab only", False, f"B: {detail}")
+    assert_verify_stops_at_geometry(f"B: {detail}")
 
 
 def test_geometry_rejects_a_sticker_off_the_destination(stickers):
@@ -443,6 +486,9 @@ def test_constructor_keeps_normalised_tuples():
     )
     for t in (listed, arrays):
         assert t == IDENT and hash(t) == hash(IDENT)
+    listed = cube.StateClass([0] * 12, 0)
+    ref = cube.StateClass((0,) * 12, 0)
+    assert listed == ref and hash(listed) == hash(ref)
 
 
 def test_constructor_rejects_bad_components():
@@ -501,6 +547,24 @@ def test_closed_operations_do_not_revalidate(make_rng, monkeypatch):
         assert t == ref and hash(t) == hash(ref)
         for row in _rows(t):
             assert type(row) is tuple and all(type(x) is int for x in row)
+
+
+def test_class_builders_do_not_revalidate(make_rng, monkeypatch):
+    rng = make_rng(317)
+    states = [cube.random_assembly(rng) for _ in range(20)] + [IDENT]
+
+    def refuse(self):
+        raise AssertionError("a class builder re-validated its result")
+
+    monkeypatch.setattr(cube.StateClass, "__post_init__", refuse)
+    classes = [cube.classify(t) for t in states]
+    parsed = [cube.StateClass.from_string(c.to_string()) for c in classes]
+    again = [cube.classify(cube.representative(c)) for c in parsed]
+    monkeypatch.undo()
+    for found in zip(classes, parsed, again):
+        ref = cube.StateClass(found[0].pair_labels, found[0].twist)
+        assert all(c == ref and hash(c) == hash(ref) for c in found)
+        assert all(type(c.pair_labels) is tuple for c in found)
 
 
 # state files
