@@ -89,19 +89,19 @@ def exact_probability(mode: str = "marked") -> Fraction:
 # Monte Carlo estimation
 #
 # Samples are split into fixed-size streams, stream i seeded from
-# (seed, spawn_key=(i,)).  Pool thread t runs one task over streams t,
-# t + threads, t + 2*threads, ..., so the work in flight is flat in n; integer
-# hit counts sum alike in any order, so the estimate depends on (mode, n, seed)
-# only.  Solvability reads only the edge flips and corner twists, both
-# independent of the placements under the uniform law, so a stream draws just
-# those, two samples per draw: a uniform 64-bit w holds sample 2i's flips in
-# bits 0..23 (bit k edge k's) and 2i+1's in bits 32..55, and u in [0, 3^16)
-# the twist codes u mod 3^8 and u div 3^8 (digit k corner k's twist).  A
-# uniform word's two 24-bit fields are independent and uniform, and u is a
-# bijection onto pairs of codes, so all are iid uniform; an odd count leaves
-# the last high half or code unused.  Marked mode draws codes, after all of w,
-# only for samples whose edge pairs agree, in sample order: the rest miss
-# whatever their twists, and codes are independent of w, so hits keep the law.
+# (seed, spawn_key=(i,)).  Of T threads, thread t runs one task over streams
+# t, t + T, t + 2T, ..., the calling thread being thread 0, so the work in
+# flight is flat in n and one worker starts no thread; integer hit counts sum
+# alike in any order, so the estimate depends on (mode, n, seed) only.
+# Solvability reads only the corner twists and the 12 edge pair differences
+# (edge 2k's flip XOR edge 2k+1's): each XORs two independent uniform flips, so
+# the 12 are iid uniform and independent of the twists and placements.  Lane j
+# (bits 16j..16j+11) of uniform 64-bit word i holds sample 4i+j's, bit k pair
+# k's, so its pairs agree exactly when the lane is 0; the last word's unused
+# lanes are set nonzero by value, so zero lanes counted through a uint16 view of
+# whole words do not depend on byte order.  A u in [0, 3^16) gives two iid twist
+# codes, u mod 3^8 and u div 3^8 (digit k corner k's twist), drawn after all
+# words and only for samples whose pairs agree, as the rest miss whatever code.
 
 
 @cache
@@ -122,12 +122,11 @@ def _check_int(name: str, value: int, least: int, most: float = math.inf) -> Non
 def _stream_hits(mode: str, seed: int, index: int, count: int) -> int:
     import numpy as np  # loaded by the first stream, not by the exact counts
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    if mode == "marked":  # bit 2j of w ^ (w >> 1) set: pair (2j, 2j+1) differs
-        w = rng.integers(0, 1 << 64, size=(count + 1) // 2, dtype=np.uint64)
-        w ^= (d := w >> 1)  # d is scratch below: out= spares fresh pages, which cost more
-        k = count // 2  # words whose high half is a sample
-        count = w.size + k - np.count_nonzero(np.bitwise_and(w, 0x555555, out=d))
-        count = int(count - np.count_nonzero(np.bitwise_and(w[:k], 0x55555500000000, out=d[:k])))
+    if mode == "marked":  # lane j of word i holds sample 4i+j's pair differences
+        w = rng.integers(0, 1 << 64, size=-(-count // 4), dtype=np.uint64)
+        w[-1] |= (1 << 64) - (1 << 64 - 16 * (-count % 4))  # unused lanes: not 0
+        w &= 0x0FFF0FFF0FFF0FFF
+        count = 4 * w.size - np.count_nonzero(w.view(np.uint16))
     q = 3**cube.NUM_CORNERS  # code 2j is u mod q, code 2j+1 is u div q
     u = rng.integers(0, q * q, size=(count + 1) // 2, dtype=np.uint32)
     u -= (high := u // q) * q
@@ -149,6 +148,7 @@ def estimate_probability(
     cube._check_mode(mode)
     for name, value, least in (("n", n, 1), ("seed", seed, 0), ("workers", workers, 1)):
         _check_int(name, value, least)
+    n = int(n)
     threads = min(workers, os.cpu_count() or 1)
 
     def share(t: int) -> int:  # streams t, t + threads, t + 2*threads, ...
@@ -158,7 +158,7 @@ def estimate_probability(
         )
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        hits = sum(pool.map(share, range(threads)))
+        hits = sum(pool.map(share, range(1, threads)), share(0))  # submit, then run 0 here
     p = Fraction(hits, n)
     stderr = math.sqrt(float(p) * (1.0 - float(p)) / n)
     return p, stderr

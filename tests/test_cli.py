@@ -39,11 +39,11 @@ def test_prob_mc_pinned():
     assert r.returncode == 0
     lines = r.stdout.splitlines()
     # pins from the scalar rebuild (tests/test_counting.py); ci95 is the
-    # textbook Wilson form at p = 1e-4, n = 1e5, z = 1.96
+    # textbook Wilson form at p = 7e-5, n = 1e5, z = 1.96
     assert lines == [
-        "estimate: 1/10000",
-        "stderr: 3.162120e-05",
-        "ci95: 5.432014e-05 1.840867e-04",
+        "estimate: 7/100000",
+        "stderr: 2.645659e-05",
+        "ci95: 3.390860e-05 1.445005e-04",
     ]
 
 
