@@ -108,8 +108,9 @@ def test_estimate_worker_invariant():
 
 
 def test_estimate_threads_bounded(monkeypatch):
-    # more workers than CPUs, one stream each: the pool stays at one thread
-    # per CPU, and the estimate is the one-worker estimate
+    # more workers than CPUs, one stream each: the threads that run streams,
+    # the calling one among them, stay at one per CPU, and the estimate is
+    # the one-worker estimate
     import os
     import threading
     import time
