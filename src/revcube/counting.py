@@ -124,7 +124,7 @@ def _stream_hits(mode: str, seed: int, index: int, count: int) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     if mode == "marked":  # lane j of word i holds sample 4i+j's pair differences
         w = rng.integers(0, 1 << 64, size=-(-count // 4), dtype=np.uint64)
-        w[-1] |= (1 << 64) - (1 << 64 - 16 * (-count % 4))  # unused lanes: not 0
+        w[-1:] |= (1 << 64) - (1 << 64 - 16 * (-count % 4))  # unused lanes != 0; an array op
         w &= 0x0FFF0FFF0FFF0FFF
         count = 4 * w.size - np.count_nonzero(w.view(np.uint16))
     q = 3**cube.NUM_CORNERS  # code 2j is u mod q, code 2j+1 is u div q
