@@ -141,6 +141,16 @@ def _check_row(name: str, check: Callable[[], None]) -> tuple[str, bool, str]:
     return name, True, ""
 
 
+def _closed_classes(pairs: int) -> int:
+    """Closed form: 3^(p+1) visibly distinct classes with p edge pairs."""
+    return 3 ** (pairs + 1)
+
+
+def _closed_probability(pairs: int) -> Fraction:
+    """Closed form: an assembly with p edge pairs is solvable with chance 1/(3*2^p)."""
+    return Fraction(1, 3 * 2**pairs)
+
+
 def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
     rows = geometry.validate_geometry()
     for name, ok, detail in rows:
@@ -198,23 +208,28 @@ def _verify_rows(level: str) -> Iterable[tuple[str, bool, str]]:
     ok = ok and oracle.burnside_count(points, group, act) == 3
     yield "twist-sign orbit table (3 classes, sign collapses)", ok, ""
 
-    # closed forms for p edge pairs: 3^(p+1) classes, 3 flip-free, probability 1/(3*2^p)
+    # the closed forms, checked exhaustively on a mini model; flip-free is p = 0
     model = oracle.MiniModel(2, 2, 1) if level == "full" else oracle.MiniModel(1, 1, 1)
     name = f"mini model {model.pairs}/{model.corners}/{model.blocks} subgroups"
     yield _check_row(name, model.check_subgroup_constructions)
-    want = 3 ** (model.pairs + 1)
-    got = model.class_count()
+    want, got = _closed_classes(model.pairs), model.class_count()
     yield f"mini class count = {want}", got == want, f"got {got}"
-    got = model.class_count(flip_free=True)
-    yield "mini flip-free class count = 3", got == 3, f"got {got}"
+    want, got = _closed_classes(0), model.class_count(flip_free=True)
+    yield f"mini flip-free class count = {want}", got == want, f"got {got}"
     total, bad = model.sweep_closed_form()
     name = f"closed-form solvability matches brute force on {total} elements"
     yield name, bad == 0, f"{bad} mismatches"
-    want = Fraction(1, 3 * 2**model.pairs)
-    got_p = model.solvable_probability()
+    want, got_p = _closed_probability(model.pairs), model.solvable_probability()
     yield f"mini solvable probability = {want}", got_p == want, f"got {got_p}"
-    got_p = model.solvable_probability(flip_free=True)
-    yield f"mini flip-free probability = 1/3", got_p == Fraction(1, 3), f"got {got_p}"
+    want, got_p = _closed_probability(0), model.solvable_probability(flip_free=True)
+    yield f"mini flip-free probability = {want}", got_p == want, f"got {got_p}"
+
+    # the numbers `count` and `prob` print are the same closed forms at full size
+    for mode, pairs in (("marked", cube.NUM_EDGE_PAIRS), ("mechanical", 0)):
+        want, got = _closed_classes(pairs), counting.num_classes(mode)
+        yield f"{mode} class count = {want}", got == want, f"got {got}"
+        want, got_p = _closed_probability(pairs), counting.exact_probability(mode)
+        yield f"{mode} solvable probability = {want}", got_p == want, f"got {got_p}"
 
     if level == "full":
         sgs = sims.build_bsgs([sims.embed(g) for g in cube.all_generators()])

@@ -93,23 +93,26 @@ def exact_probability(mode: str = "marked") -> Fraction:
 # t, t + T, t + 2T, ..., the calling thread being thread 0, so the work in
 # flight is flat in n and one worker starts no thread; integer hit counts sum
 # alike in any order, so the estimate depends on (mode, n, seed) only.
-# Solvability reads only the corner twists and the 12 edge pair differences
-# (edge 2k's flip XOR edge 2k+1's): each XORs two independent uniform flips, so
-# the 12 are iid uniform and independent of the twists and placements.  Lane j
-# (bits 16j..16j+11) of uniform 64-bit word i holds sample 4i+j's, bit k pair
-# k's, so its pairs agree exactly when the lane is 0; the last word's unused
-# lanes are set nonzero by value, so zero lanes counted through a uint16 view of
-# whole words do not depend on byte order.  A u in [0, 3^16) gives two iid twist
-# codes, u mod 3^8 and u div 3^8 (digit k corner k's twist), drawn after all
-# words and only for samples whose pairs agree, as the rest miss whatever code.
+# Solvability reads only the corner-twist sum mod 3 and the 12 edge pair
+# differences (edge 2k's flip XOR edge 2k+1's).  Each difference XORs two
+# independent uniform flips, so the 12 are iid uniform and independent of the
+# twists and placements; given any seven uniform twists the eighth makes the sum
+# uniform on Z3 and independent of the pair differences, so one uniform base-3
+# digit per sample has the sum's law.  Lane j (bits 16j..16j+11) of uniform
+# 64-bit word i holds sample 4i+j's differences, bit k pair k's, so its pairs
+# agree exactly when the lane is 0; the last word's unused lanes are set nonzero
+# by value, so zero lanes counted through a uint16 view of whole words do not
+# depend on byte order.  A u uniform in [0, 3^16) holds 16 iid digits (u div 3^j
+# mod 3), drawn after all words and only for samples whose pairs agree, as the
+# rest miss whatever their sum; a sample passes when its digit is 0.
 
 
 @cache
-def _twists_pass():
-    """Bool table over the 3^8 twist codes: their digit sum is 0 mod 3."""
+def _zero_digits():
+    """Table over the 3^8 codes: how many of a code's 8 base-3 digits are 0."""
     import numpy as np
-    codes = np.arange(3**cube.NUM_CORNERS)
-    return sum(codes // 3**k % 3 for k in range(cube.NUM_CORNERS)) % 3 == 0
+    codes = np.arange(3**8)
+    return sum(codes // 3**k % 3 == 0 for k in range(8))
 
 
 def _check_int(name: str, value: int, least: int, most: float = math.inf) -> None:
@@ -127,11 +130,13 @@ def _stream_hits(mode: str, seed: int, index: int, count: int) -> int:
         w[-1:] |= (1 << 64) - (1 << 64 - 16 * (-count % 4))  # unused lanes != 0; an array op
         w &= 0x0FFF0FFF0FFF0FFF
         count = 4 * w.size - np.count_nonzero(w.view(np.uint16))
-    q = 3**cube.NUM_CORNERS  # code 2j is u mod q, code 2j+1 is u div q
-    u = rng.integers(0, q * q, size=(count + 1) // 2, dtype=np.uint32)
-    u -= (high := u // q) * q
-    hits = np.count_nonzero(_twists_pass().take(u))
-    return int(hits + np.count_nonzero(_twists_pass().take(high[: count // 2])))
+    q = 3**8  # digit j of u is sample 16i+j's twist sum: 0-7 in u mod q, 8-15 in u div q
+    u = rng.integers(0, q * q, size=-(-count // 16), dtype=np.uint32)
+    hits = int(_zero_digits().take(np.divmod(u, q)).sum())
+    if r := count % 16:  # digits r..15 of the last u, past the stream's end, are
+        v = int(u[-1]) // 3**r  # digits 0..15-r of v, whose top r digits are 0
+        hits -= int(_zero_digits()[v % q] + _zero_digits()[v // q]) - r
+    return hits
 
 
 def estimate_probability(

@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from revcube import cli, cube, oracle, sims
+import pytest
+
+from revcube import cli, counting, cube, oracle, sims
 
 from conftest import run_cli
 
@@ -38,12 +40,12 @@ def test_prob_mc_pinned():
     r = run_cli("prob", "--mc", "100000", "--seed", "5", "--workers", "2")
     assert r.returncode == 0
     lines = r.stdout.splitlines()
-    # pins from the scalar rebuild (tests/test_counting.py); ci95 is the
-    # textbook Wilson form at p = 7e-5, n = 1e5, z = 1.96
+    # pins from the scalar rebuild (tests/test_counting.py), 8 hits; ci95 is
+    # the textbook Wilson form at p = 8e-5, n = 1e5, z = 1.96
     assert lines == [
-        "estimate: 7/100000",
-        "stderr: 2.645659e-05",
-        "ci95: 3.390860e-05 1.445005e-04",
+        "estimate: 1/12500",
+        "stderr: 2.828314e-05",
+        "ci95: 4.053804e-05 1.578703e-04",
     ]
 
 
@@ -297,6 +299,7 @@ def test_verify_quick():
     assert sum(l.startswith("ok: geometry") for l in lines) == 5
     assert "ok: mini class count = 9" in lines
     assert "ok: mini flip-free class count = 3" in lines
+    assert "ok: marked solvable probability = 1/12288" in lines
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == verify_digest("quick")
 
 
@@ -315,8 +318,9 @@ def test_verify_full():
     lines = r.stdout.splitlines()
     assert all(l.startswith("ok: ") for l in lines[:-1])
     assert lines[-1] == "all checks passed"
-    assert len(lines) == 55
+    assert len(lines) == 59
     assert "ok: mini class count = 27" in lines
+    assert "ok: marked class count = 1594323" in lines
     assert "ok: slice-move group order matches the closed formula" in lines
     assert "ok: strong generating set is consistent" in lines
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == verify_digest("full")
@@ -376,6 +380,56 @@ def test_verify_homomorphism_row_judges_every_pair(monkeypatch):
     assert r.returncode == 3
     assert "FAIL: characteristic is a homomorphism (200 random pairs)" in r.stdout
     assert r.stdout.endswith("1 check(s) failed\n")
+
+
+@pytest.mark.parametrize(
+    "target, mutant, command, printed, failing",
+    [
+        (  # the 11th power in place of the 12th
+            "edge_pair_class_count",
+            lambda: len(oracle.pair_orbits()) ** (cube.NUM_EDGE_PAIRS - 1),
+            "count",
+            "531441",
+            ["marked class count = 1594323 (got 531441)"],
+        ),
+        (  # 12 placements per center block in place of 24
+            "num_relabelings",
+            lambda mode="marked": counting._marked_only(2**cube.NUM_EDGE_PAIRS, mode)
+            * 12**cube.NUM_CENTER_BLOCKS,
+            "prob",
+            "1/786432",
+            [
+                "marked solvable probability = 1/12288 (got 1/786432)",
+                "mechanical solvable probability = 1/3 (got 1/192)",
+            ],
+        ),
+        (  # the licit relabelings not halved
+            "num_relabelings_licit",
+            lambda: 24**cube.NUM_CENTER_BLOCKS,
+            "prob",
+            "1/24576",
+            [
+                "marked solvable probability = 1/12288 (got 1/24576)",
+                "mechanical solvable probability = 1/3 (got 1/6)",
+            ],
+        ),
+    ],
+    ids=["eleventh-power", "twelve-per-block", "no-halving"],
+)
+def test_verify_catches_a_wrong_printed_number(
+    monkeypatch, target, mutant, command, printed, failing
+):
+    # a one-line slip in counting changes what count or prob prints; full
+    # verify fails on the rows that compare those numbers with the closed forms
+    monkeypatch.setattr(counting, target, mutant)
+    assert run_cli(command).stdout == printed + "\n"
+    small_models(monkeypatch)
+    r = run_cli("verify")
+    assert r.returncode == 3
+    assert [l for l in r.stdout.splitlines() if l.startswith("FAIL")] == [
+        f"FAIL: {row}" for row in failing
+    ]
+    assert r.stdout.endswith(f"{len(failing)} check(s) failed\n")
 
 
 def test_word_draw_matches_scalar_draws():

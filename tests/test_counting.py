@@ -171,11 +171,11 @@ def test_estimate_pinned():
     # pins from the scalar rebuild of every stream (see
     # test_stream_hits_match_scalar_predicate), not from _stream_hits
     est, err = counting.estimate_probability("mechanical", 200_000, seed=7)
-    assert est == Fraction(66_651, 200_000)
-    assert f"{err:.6e}" == "1.054031e-03"
+    assert est == Fraction(66_477, 200_000)
+    assert f"{err:.6e}" == "1.053340e-03"
     est, err = counting.estimate_probability("marked", 100_000, seed=5, workers=2)
-    assert est == Fraction(7, 100_000)
-    assert f"{err:.6e}" == "2.645659e-05"
+    assert est == Fraction(8, 100_000)
+    assert f"{err:.6e}" == "2.828314e-05"
 
 
 def test_estimate_close_to_exact():
@@ -230,8 +230,10 @@ def test_estimate_refuses_bad_counts(name, value):
 
 
 def test_estimate_takes_numpy_integers():
-    # 1001 marked samples leave three unused lanes in the last word
-    for mode, n in (("mechanical", 1000), ("marked", 1001)):
+    # 1000 mechanical samples leave 8 unused digits in the last u; 10001
+    # marked samples leave 3 unused lanes in the last word, and the 2 whose
+    # pairs agree leave 14 unused digits
+    for mode, n in (("mechanical", 1000), ("marked", 10_001)):
         want = counting.estimate_probability(mode, n, seed=3, workers=2)
         got = counting.estimate_probability(
             mode, np.int64(n), seed=np.uint64(3), workers=np.int32(2)
@@ -254,13 +256,14 @@ def test_flip_rate_matches_pair_condition(make_rng):
 
 
 def scalar_stream(mode, seed, index, count):
-    """Stream `index`'s samples as (pair differences, twist digits), decoded in
-    plain Python from the stream's draws in their order; the digits are None
-    for a marked sample whose edge pairs do not all agree, as it draws no code.
+    """Stream `index`'s samples as (pair differences, twist-sum digit), decoded
+    in plain Python from the stream's draws in their order; the digit is None
+    for a marked sample whose edge pairs do not all agree, as it draws none.
 
     Marked mode: raw 64-bit words, sample 4i+j's 12 pair differences in bits
-    16j..16j+11 of word i (bit k pair k's).  Both modes: u in [0, 3^16) per two
-    twist codes, code 2j = u mod 3^8, code 2j+1 = u div 3^8, in sample order.
+    16j..16j+11 of word i (bit k pair k's).  Both modes: u in [0, 3^16) per 16
+    digits in sample order, the 8 base-3 digits of u mod 3^8 low to high, then
+    those of u div 3^8.
     """
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
@@ -271,24 +274,27 @@ def scalar_stream(mode, seed, index, count):
     else:
         lanes = [0] * count
     diffs = [[x >> k & 1 for k in range(12)] for x in lanes]
-    us = rng.integers(0, 3**16, size=(lanes.count(0) + 1) // 2, dtype=np.uint32).tolist()
-    codes = iter([c for u in us for c in (u % 3**8, u // 3**8)])
+    us = rng.integers(0, 3**16, size=-(-lanes.count(0) // 16), dtype=np.uint32).tolist()
+    halves = [h for u in us for h in (u % 3**8, u // 3**8)]
+    digits = iter([h // 3**k % 3 for h in halves for k in range(8)])
     for d in diffs:
-        v = None if any(d) else next(codes)
-        yield d, None if v is None else [v // 3**k % 3 for k in range(8)]
+        yield d, None if any(d) else next(digits)
 
 
 def test_stream_hits_match_scalar_predicate():
     # judge every sample of scalar_stream with CubeState.  Each pair's common
-    # flip bit, a marked sample's twists when it has no code, and every
-    # sample's piece placements come from an independent generator, so the
-    # match shows _stream_hits reads none of them, and the vectorized predicate
-    # cannot drift from the scalar one.  The counts are 0, 2, 1 and 3 mod 4.
-    # Seed 133 was chosen so the flip rule is exercised, not just the twist
-    # rule: its first 4096 marked samples hold 3 hits among 5 that agree, an
-    # odd count, so marked mode leaves the last u's high code unused.  Sample
-    # 110 agrees and its code would pass, so at count 110 a stream that read
-    # the last word's unused lanes 2 and 3 would count one more hit.
+    # flip bit, seven of the eight twists, a marked sample's twist sum when it
+    # has no digit, and every sample's piece placements come from an
+    # independent generator, so the match shows _stream_hits reads none of
+    # them, and the vectorized predicate cannot drift from the scalar one.  The
+    # counts are 0, 1, 14 and 15 mod 16 (0, 1, 2 and 3 mod 4).  Seed 133 was
+    # chosen so each layout rule shows.  Its first 4096 marked samples hold 1
+    # hit among 5 whose pairs agree, sample 110 among them, so at count 110 a
+    # stream that read the last word's unused lanes 2 and 3 would count it.
+    # The last u holds a 0 among its unused digits at mechanical counts 1 and
+    # 110 and marked counts 4096 and 2751, so counting them would be off there;
+    # digits read high to low miscount at 2751 in both modes, and swapped
+    # halves at 1 (mechanical) and 2751 (marked).
     from revcube.counting import _stream_hits
     from revcube.wreath import WreathElem
 
@@ -298,13 +304,14 @@ def test_stream_hits_match_scalar_predicate():
     def perm_row(n):
         return tuple(map(int, place.permutation(n)))
 
-    for count in (4096, 110, 1, 2951):
+    for count in (4096, 1, 110, 2751):
         for mode in cube.MODES:
             hits = 0
-            for diffs, twists in scalar_stream(mode, seed, 0, count):
-                if twists is None:
-                    v = int(place.integers(0, 3**8))
-                    twists = [v // 3**k % 3 for k in range(8)]
+            for diffs, digit in scalar_stream(mode, seed, 0, count):
+                if digit is None:
+                    digit = int(place.integers(0, 3))
+                twists = place.integers(0, 3, size=7).tolist()
+                twists.append((digit - sum(twists)) % 3)
                 common = place.integers(0, 2, size=12).tolist()
                 flips = [b for c, d in zip(common, diffs) for b in (c, c ^ d)]
                 t = cube.CubeState(
@@ -315,16 +322,16 @@ def test_stream_hits_match_scalar_predicate():
                 hits += cube.is_solvable(t)
             assert hits == _stream_hits(mode, seed, 0, count), (count, mode)
             if (count, mode) == (4096, "marked"):
-                assert hits == 3
+                assert hits == 1
 
 
-def test_twist_table_matches_closed_form():
-    # every one of the 3^8 twist codes, decoded digit by digit
-    table = counting._twists_pass()
+def test_zero_digit_table():
+    # every one of the 3^8 codes, decoded digit by digit
+    table = counting._zero_digits()
     assert table.shape == (3**8,)
     for v in range(3**8):
         digits = [(v // 3**k) % 3 for k in range(8)]
-        assert table[v] == cube.solvable_by_invariants([0] * 24, digits), v
+        assert table[v] == digits.count(0), v
 
 
 def test_wilson_interval():
